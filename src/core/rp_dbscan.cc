@@ -240,9 +240,16 @@ StatusOr<RpDbscanResult> RunRpDbscan(const Dataset& data,
     dict_opts.stencil_eps_scale = std::max(dict_opts.stencil_eps_scale,
                                            options.query_eps / options.eps);
   }
+  // With the broadcast simulated, this side is the sender: it only
+  // encodes the dictionary, so it builds the layout the wire carries and
+  // leaves every query structure to the receiving side.
+  const DictionaryBuild sender_build = options.simulate_broadcast
+                                           ? DictionaryBuild::kWireOnly
+                                           : DictionaryBuild::kQueryable;
   StatusOr<CellDictionary> dict_or = [&]() -> StatusOr<CellDictionary> {
     if (options.shard_workers < 2) {
-      return CellDictionary::Build(data, cells, dict_opts, &pool);
+      return CellDictionary::Build(data, cells, dict_opts, &pool,
+                                   sender_build);
     }
     // Multi-process mode: forked workers each build their partitions'
     // entries and ship them back as checksummed shard containers; the
@@ -258,8 +265,8 @@ StatusOr<RpDbscanResult> RunRpDbscan(const Dataset& data,
     for (const double s : shard_stats.worker_build_seconds) {
       stats.shard_build_seconds = std::max(stats.shard_build_seconds, s);
     }
-    return CellDictionary::FromEntries(geom, std::move(*entries_or),
-                                       dict_opts, &pool);
+    return CellDictionary::FromEntries(geom, *entries_or, dict_opts, &pool,
+                                       sender_build);
   }();
   if (!dict_or.ok()) return dict_or.status();
   stats.dictionary_seconds = phase_watch.ElapsedSeconds();
@@ -275,10 +282,11 @@ StatusOr<RpDbscanResult> RunRpDbscan(const Dataset& data,
   }
 
   // Broadcast simulation (Alg. 1 line 5): serialize to the Lemma 4.3 wire
-  // layout and decode, as every Spark worker would.
+  // layout and decode, as every Spark worker would; decoding builds the
+  // query structures Phase II runs on.
   if (options.simulate_broadcast) {
     phase_watch.Reset();
-    const std::vector<uint8_t> wire = dict_or->Serialize();
+    const std::vector<uint8_t> wire = dict_or->Serialize(&pool);
     stats.broadcast_bytes = wire.size();
     auto decoded = CellDictionary::Deserialize(wire, dict_opts, &pool);
     if (!decoded.ok()) {

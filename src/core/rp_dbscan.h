@@ -190,7 +190,10 @@ struct RunStats {
   double key_seconds = 0;      // per-point cell-key encoding
   double sort_seconds = 0;     // radix sort of (key, point_id) pairs
   double scatter_seconds = 0;  // group scan + CSR emit
-  double dictionary_seconds = 0;  // Phase I-2
+  /// Phase I-2 on the sending side: sub-cell histograms plus the BSP
+  /// layout; with simulate_broadcast off, also the query index this
+  /// side then builds itself.
+  double dictionary_seconds = 0;
   double phase2_seconds = 0;      // Phase II (cell graph construction)
   double merge_seconds = 0;       // Phase III-1
   double label_seconds = 0;       // Phase III-2
@@ -211,6 +214,8 @@ struct RunStats {
   size_t dictionary_bytes = 0;
   /// Actual serialized wire size (0 when broadcast simulation is off).
   size_t broadcast_bytes = 0;
+  /// Encode plus decode plus the receiver's index build (0 when
+  /// broadcast simulation is off).
   double broadcast_seconds = 0;
   size_t num_core_cells = 0;
   size_t num_clusters = 0;

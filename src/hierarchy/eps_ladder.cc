@@ -163,7 +163,11 @@ StatusOr<ClusterHierarchy> BuildClusterHierarchy(
       options.batched_queries && options.stencil_queries;
   dict_opts.quantized = options.quantized;
   dict_opts.stencil_eps_scale = options.eps_levels.back() / eps0;
-  auto dict_or = CellDictionary::Build(data, cells, dict_opts, &pool);
+  // A broadcast sender only encodes: it builds the wire layout alone.
+  auto dict_or = CellDictionary::Build(
+      data, cells, dict_opts, &pool,
+      options.simulate_broadcast ? DictionaryBuild::kWireOnly
+                                 : DictionaryBuild::kQueryable);
   if (!dict_or.ok()) return dict_or.status();
   hierarchy.dictionary_seconds = phase_watch.ElapsedSeconds();
 
@@ -171,7 +175,7 @@ StatusOr<ClusterHierarchy> BuildClusterHierarchy(
   // this per (eps, min_pts) setting.
   if (options.simulate_broadcast) {
     phase_watch.Reset();
-    const std::vector<uint8_t> wire = dict_or->Serialize();
+    const std::vector<uint8_t> wire = dict_or->Serialize(&pool);
     auto decoded = CellDictionary::Deserialize(wire, dict_opts, &pool);
     if (!decoded.ok()) {
       return Status::Internal("broadcast round-trip failed: " +
@@ -270,7 +274,7 @@ StatusOr<ClusterHierarchy> BuildClusterHierarchy(
       // load-time rebuild exactly.
       CellDictionaryOptions level_dict_opts = dict_opts;
       level_dict_opts.stencil_eps_scale = level.eps / eps0;
-      auto own_dict = CellDictionary::Deserialize(dict.Serialize(),
+      auto own_dict = CellDictionary::Deserialize(dict.Serialize(&pool),
                                                   level_dict_opts, &pool);
       if (!own_dict.ok()) {
         return Status::Internal("dictionary clone failed: " +

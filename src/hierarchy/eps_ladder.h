@@ -97,6 +97,8 @@ struct ClusterHierarchy {
   /// Shared-stage observables (paid once for the whole ladder — the
   /// sweep's economy over N independent runs).
   double phase1_seconds = 0.0;
+  /// As RunStats: histograms plus layout (plus the index when no
+  /// broadcast is simulated); encode, decode and the receiver's index.
   double dictionary_seconds = 0.0;
   double broadcast_seconds = 0.0;
   double total_seconds = 0.0;

@@ -38,6 +38,16 @@ void ParallelFor(ThreadPool& pool, size_t n, Fn&& fn, size_t chunk = 0) {
   pool.Wait();
 }
 
+/// ParallelFor on `pool` when given, else a plain loop on the caller.
+template <typename Fn>
+void MaybeParallelFor(ThreadPool* pool, size_t n, Fn&& fn, size_t chunk = 0) {
+  if (pool != nullptr) {
+    ParallelFor(*pool, n, fn, chunk);
+  } else {
+    for (size_t i = 0; i < n; ++i) fn(i);
+  }
+}
+
 /// ParallelFor with a stable worker identity: runs `fn(worker, i)` where
 /// `worker` indexes the claimant task that pulled iteration `i`. Each
 /// claimant is one task execution, so state indexed by `worker` (scratch

@@ -123,9 +123,8 @@ StatusOr<EpochResult> StreamClusterer::PublishEpoch() {
           CellDictionary::MakeCellEntry(data, geom, cells.cell(cid), cid);
     });
   }
-  auto dict_or = CellDictionary::FromEntries(
-      geom, std::vector<CellEntry>(entries_), DictOptionsOf(options_),
-      &pool);
+  auto dict_or = CellDictionary::FromEntries(geom, entries_,
+                                             DictOptionsOf(options_), &pool);
   if (!dict_or.ok()) return dict_or.status();
   const CellDictionary& dict = *dict_or;
 

@@ -12,15 +12,23 @@ namespace rpdbscan {
 /// at d*(h-1) bits each.
 class BitWriter {
  public:
-  /// Appends the low `bits` bits of `value` (bits <= 64).
+  /// Appends the low `bits` bits of `value` (bits <= 64), a byte's worth
+  /// of free bits at a time.
   void Write(uint64_t value, unsigned bits) {
-    for (unsigned i = 0; i < bits; ++i) {
+    if (bits < 64) value &= (uint64_t{1} << bits) - 1;
+    while (bits > 0) {
       if (bit_pos_ == 0) bytes_.push_back(0);
-      if ((value >> i) & 1u) {
-        bytes_.back() |= static_cast<uint8_t>(1u << bit_pos_);
-      }
-      bit_pos_ = (bit_pos_ + 1) & 7;
+      const unsigned take = 8 - bit_pos_ < bits ? 8 - bit_pos_ : bits;
+      bytes_.back() |= static_cast<uint8_t>(value << bit_pos_);
+      value >>= take;
+      bits -= take;
+      bit_pos_ = (bit_pos_ + take) & 7;
     }
+  }
+
+  /// Reserves room for `bits` more bits.
+  void Reserve(size_t bits) {
+    bytes_.reserve(bytes_.size() + (bits + 7) / 8);
   }
 
   /// Total bits written so far.
@@ -45,14 +53,22 @@ class BitReader {
   BitReader(const uint8_t* data, size_t size_bytes)
       : data_(data), size_bits_(size_bytes * 8) {}
 
-  /// Reads `bits` bits (bits <= 64). Returns 0 bits past the end (callers
-  /// check Exhausted() / remaining counts themselves).
+  /// Reads `bits` bits (bits <= 64), a byte's worth of available bits at
+  /// a time. Returns 0 bits past the end (callers check Exhausted() /
+  /// remaining counts themselves).
   uint64_t Read(unsigned bits) {
     uint64_t value = 0;
-    for (unsigned i = 0; i < bits && pos_ < size_bits_; ++i, ++pos_) {
-      if ((data_[pos_ >> 3] >> (pos_ & 7)) & 1u) {
-        value |= 1ULL << i;
-      }
+    unsigned got = 0;
+    while (got < bits && pos_ < size_bits_) {
+      const unsigned offset = static_cast<unsigned>(pos_ & 7);
+      unsigned take = 8 - offset;
+      if (take > bits - got) take = bits - got;
+      const uint64_t chunk =
+          (static_cast<uint64_t>(data_[pos_ >> 3]) >> offset) &
+          ((uint64_t{1} << take) - 1);
+      value |= chunk << got;
+      got += take;
+      pos_ += take;
     }
     return value;
   }

@@ -768,7 +768,8 @@ AuditReport AuditShardAssembly(const Dataset& data, const CellSet& cells,
                                const CellDictionaryOptions& opts,
                                ThreadPool* pool) {
   AuditReport report;
-  auto reference_or = CellDictionary::Build(data, cells, opts, pool);
+  auto reference_or = CellDictionary::Build(data, cells, opts, pool,
+                                            DictionaryBuild::kWireOnly);
   if (!reference_or.ok()) {
     report.Fail("shard assembly: single-process reference build failed: " +
                 reference_or.status().ToString());
@@ -783,8 +784,8 @@ AuditReport AuditShardAssembly(const Dataset& data, const CellSet& cells,
     return Cat("shard assembly: sub-cell count ", sharded.num_subcells(),
                " != single-process ", reference.num_subcells());
   });
-  const std::vector<uint8_t> sharded_bytes = sharded.Serialize();
-  const std::vector<uint8_t> reference_bytes = reference.Serialize();
+  const std::vector<uint8_t> sharded_bytes = sharded.Serialize(pool);
+  const std::vector<uint8_t> reference_bytes = reference.Serialize(pool);
   report.Check(sharded_bytes.size() == reference_bytes.size(), [&] {
     return Cat("shard assembly: serialized size ", sharded_bytes.size(),
                " != single-process ", reference_bytes.size());

@@ -3,9 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <cstdlib>
 #include <map>
 #include <vector>
 
+#include "parallel/thread_pool.h"
 #include "synth/generators.h"
 #include "util/random.h"
 
@@ -218,6 +221,180 @@ TEST(CellDictionaryTest, QueryCountIncludesOwnSubcell) {
   for (size_t i = 0; i < 20; ++i) {
     EXPECT_GE(dict->QueryCount(f.data.point(i)), 1u);
   }
+}
+
+// Random points on a box of `width` lattice cells per axis, centered on
+// the origin so cell coordinates take both signs.
+Dataset LatticeBox(size_t dim, size_t n, int width, double side,
+                   uint64_t seed) {
+  Rng rng(seed);
+  Dataset ds(dim);
+  std::vector<float> p(dim);
+  for (size_t i = 0; i < n; ++i) {
+    for (size_t d = 0; d < dim; ++d) {
+      p[d] = static_cast<float>(
+          rng.UniformDouble(-0.5 * width * side, 0.5 * width * side));
+    }
+    ds.Append(p.data());
+  }
+  return ds;
+}
+
+// Every cell's stencil neighbors by brute force over all cell pairs: the
+// cells whose lattice offset o satisfies m(o) <= budget (the stencil's own
+// integer criterion), as sorted global slots.
+std::vector<std::vector<uint32_t>> BruteNeighborhoods(
+    const CellDictionary& dict) {
+  const size_t n = dict.num_cells();
+  const size_t dim = dict.geom().dim();
+  const int32_t* rc = dict.ref_coords().data();
+  const double budget = dict.stencil().budget();
+  std::vector<std::vector<uint32_t>> out(n);
+  for (size_t s = 0; s < n; ++s) {
+    for (size_t t = 0; t < n; ++t) {
+      if (t == s) continue;
+      uint64_t m = 0;
+      for (size_t d = 0; d < dim; ++d) {
+        const int64_t a =
+            std::abs(int64_t{rc[t * dim + d]} - int64_t{rc[s * dim + d]});
+        if (a > 1) m += static_cast<uint64_t>((a - 1) * (a - 1));
+      }
+      if (static_cast<double>(m) <= budget) {
+        out[s].push_back(static_cast<uint32_t>(t));
+      }
+    }
+  }
+  return out;
+}
+
+std::vector<uint32_t> FlatCsr(const CellDictionary& dict) {
+  std::vector<uint32_t> flat;
+  for (size_t s = 0; s < dict.num_cells(); ++s) {
+    size_t count = 0;
+    const uint32_t* nbr = dict.StencilNeighborsOf(s, &count);
+    flat.push_back(static_cast<uint32_t>(count));
+    flat.insert(flat.end(), nbr, nbr + count);
+  }
+  return flat;
+}
+
+TEST(CellDictionaryTest, StencilCsrMatchesBruteForceLattice) {
+  // The pencil-sweep CSR against an O(n^2) enumeration of the lattice
+  // criterion, for d = 1..5 at stencil scales 1, 2 and 8. Each list holds
+  // its own cell first, then exactly the brute-force set, and the arrays
+  // are identical with no pool and at 1, 2 and 4 threads.
+  ThreadPool pool1(1);
+  ThreadPool pool2(2);
+  ThreadPool pool4(4);
+  size_t checked = 0;
+  for (size_t dim = 1; dim <= 5; ++dim) {
+    for (const double scale : {1.0, 2.0, 8.0}) {
+      const double budget = LatticeStencil::ScaledBudget(dim, scale);
+      const int radius = 1 + static_cast<int>(std::sqrt(budget));
+      // Wide enough that windows are partly empty, small enough that
+      // most cells have neighbors; point count shrinks with the volume.
+      const int width = dim == 1 ? 60 * radius : 3 * radius + 3;
+      const size_t n = dim <= 2 ? 600 : dim == 3 ? 300 : 120;
+      auto geom = GridGeometry::Create(dim, 1.0, 0.5);
+      ASSERT_TRUE(geom.ok());
+      const Dataset data = LatticeBox(dim, n, width, geom->cell_side(),
+                                      100 * dim + static_cast<int>(scale));
+      auto cells = CellSet::Build(data, *geom, 4, 7);
+      ASSERT_TRUE(cells.ok());
+      CellDictionaryOptions opts;
+      opts.stencil_eps_scale = scale;
+      opts.max_stencil_offsets = 1 << 19;
+      opts.max_cells_per_subdict = 64;  // several fragments
+      auto serial = CellDictionary::Build(data, *cells, opts);
+      ASSERT_TRUE(serial.ok());
+      if (!serial->has_stencil()) {
+        // Only the 5-d scale-8 family is past the raised cap (millions of
+        // offsets): the tree fallback, nothing to compare.
+        EXPECT_TRUE(dim == 5 && scale == 8.0);
+        continue;
+      }
+      const std::vector<std::vector<uint32_t>> brute =
+          BruteNeighborhoods(*serial);
+      for (size_t s = 0; s < serial->num_cells(); ++s) {
+        size_t count = 0;
+        const uint32_t* nbr = serial->StencilNeighborsOf(s, &count);
+        ASSERT_GE(count, 1u);
+        EXPECT_EQ(nbr[0], s) << "dim " << dim << " scale " << scale;
+        std::vector<uint32_t> got(nbr + 1, nbr + count);
+        std::sort(got.begin(), got.end());
+        EXPECT_EQ(got, brute[s])
+            << "dim " << dim << " scale " << scale << " slot " << s;
+      }
+      const std::vector<uint32_t> expected = FlatCsr(*serial);
+      // The 4-d scale-8 family has ~480k offsets, and each rebuild pays
+      // its enumeration again: check that one at 4 threads only.
+      const bool huge = serial->stencil().num_offsets() > 100000;
+      for (ThreadPool* pool : {&pool1, &pool2, &pool4}) {
+        if (huge && pool != &pool4) continue;
+        auto par = CellDictionary::Build(data, *cells, opts, pool);
+        ASSERT_TRUE(par.ok());
+        EXPECT_EQ(FlatCsr(*par), expected)
+            << "dim " << dim << " scale " << scale << " threads "
+            << pool->num_threads();
+      }
+      ++checked;
+    }
+  }
+  EXPECT_EQ(checked, 14u);
+}
+
+TEST(CellDictionaryTest, LargeCsrIsThreadCountInvariant) {
+  // Enough cells for many pencils per task and several radix-sort chunks.
+  const Dataset data = synth::GeoLifeLike(30000, 5);
+  auto geom = GridGeometry::Create(3, 2.0, 0.01);
+  ASSERT_TRUE(geom.ok());
+  auto cells = CellSet::Build(data, *geom, 8, 3);
+  ASSERT_TRUE(cells.ok());
+  auto serial = CellDictionary::Build(data, *cells);
+  ASSERT_TRUE(serial.ok());
+  ASSERT_TRUE(serial->has_stencil());
+  const std::vector<uint32_t> expected = FlatCsr(*serial);
+  for (const size_t threads : {1, 2, 4}) {
+    ThreadPool pool(threads);
+    auto par = CellDictionary::Build(data, *cells, CellDictionaryOptions(),
+                                     &pool);
+    ASSERT_TRUE(par.ok());
+    EXPECT_EQ(FlatCsr(*par), expected) << threads;
+  }
+}
+
+TEST(CellDictionaryTest, MakeCellEntryIsSortedHistogram) {
+  // The sort-and-run-length histogram against a map-built reference.
+  Fixture f(synth::Blobs(4000, 3, 1.0, 13), 0.8, 0.02);
+  for (uint32_t cid = 0; cid < f.cells->num_cells(); ++cid) {
+    const CellData& cell = f.cells->cell(cid);
+    std::map<std::pair<uint64_t, uint64_t>, uint32_t> hist;
+    for (const uint32_t pid : cell.point_ids) {
+      const SubcellId sc = f.geom.SubcellOf(f.data.point(pid), cell.coord);
+      ++hist[{sc.hi, sc.lo}];
+    }
+    const CellEntry e =
+        CellDictionary::MakeCellEntry(f.data, f.geom, cell, cid);
+    ASSERT_EQ(e.subcells.size(), hist.size());
+    size_t i = 0;
+    for (const auto& [key, count] : hist) {
+      EXPECT_EQ(e.subcells[i].id.hi, key.first);
+      EXPECT_EQ(e.subcells[i].id.lo, key.second);
+      EXPECT_EQ(e.subcells[i].count, count);
+      ++i;
+    }
+  }
+}
+
+TEST(CellDictionaryTest, WireOnlyBuildRefusesQueries) {
+  Fixture f(synth::Blobs(500, 2, 2.0, 14), 1.0, 0.05);
+  auto dict = CellDictionary::Build(f.data, *f.cells, CellDictionaryOptions(),
+                                    nullptr, DictionaryBuild::kWireOnly);
+  ASSERT_TRUE(dict.ok());
+  EXPECT_FALSE(dict->queryable());
+  EXPECT_FALSE(dict->has_stencil());
+  EXPECT_EQ(dict->num_cells(), f.cells->num_cells());
+  EXPECT_DEATH(dict->QueryCount(f.data.point(0)), "wire-only");
 }
 
 }  // namespace

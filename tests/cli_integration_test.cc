@@ -99,6 +99,20 @@ TEST_F(CliTest, AllAlgorithmsRun) {
   }
 }
 
+TEST_F(CliTest, RejectsCoordinatesOffTheCellLattice) {
+  // +-1e30 bin past the int32 lattice and NaN bins nowhere: both fail the
+  // run instead of clustering whatever cells an undefined cast produced.
+  const std::string far = dir_ + "/far.csv";
+  std::ofstream(far) << "1,2\n1e30,3\n-1e30,3\n1.1,2.1\n1e30,3.1\n";
+  EXPECT_NE(Run("--input=" + far + " --eps=1 --minpts=2"), 0);
+  const std::string nan = dir_ + "/nan.csv";
+  std::ofstream(nan) << "1,2\nnan,3\n1.1,2.1\n";
+  EXPECT_NE(Run("--input=" + nan + " --eps=1 --minpts=2"), 0);
+  // The exact baseline has no lattice and still answers: 2 clusters.
+  EXPECT_EQ(Run("--input=" + far + " --eps=1 --minpts=2 --algo=exact"), 0);
+  EXPECT_NE(Stdout().find("2 clusters"), std::string::npos) << Stdout();
+}
+
 TEST_F(CliTest, UnknownAlgorithmFails) {
   EXPECT_NE(Run("--generate=blobs --n=100 --eps=1 --algo=optics"), 0);
 }
