@@ -9,6 +9,7 @@
 
 #include "graph/disjoint_set.h"
 #include "parallel/parallel_for.h"
+#include "parallel/parallel_scan.h"
 #include "util/logging.h"
 
 namespace rpdbscan {
@@ -126,31 +127,28 @@ void HarvestClusters(size_t num_cells, const std::vector<CellType>& type_of,
 // exists to propagate type knowledge pair by pair, but the global type
 // table is complete before any merging starts — so every edge can be
 // typed independently, and full edges can race into a lock-free
-// union-find. One pass over the flattened edge list replaces
-// O(log k) rounds of concatenate + hash-set rebuilds; per-worker kept
-// lists are concatenated and sorted by (from, to) (unique: each edge is
-// emitted by its single owning partition) so the final edge list is
-// deterministic even though the union schedule is not.
+// union-find. One pass over the subgraphs' edge arrays, in place and
+// chunked over a prefix sum of their sizes, replaces O(log k) rounds of
+// concatenate + hash-set rebuilds; per-worker kept lists are
+// concatenated and sorted by (from, to) (unique: each edge is emitted by
+// its single owning partition) so the final edge list is deterministic
+// even though the union schedule is not.
 MergeResult MergeSubgraphsParallel(std::vector<CellSubgraph> subgraphs,
                                    size_t num_cells,
                                    const MergeOptions& opts) {
   MergeResult result;
   std::vector<CellType> type_of(num_cells, CellType::kUndetermined);
-  size_t total_edges = 0;
-  for (const CellSubgraph& sg : subgraphs) total_edges += sg.edges.size();
-  std::vector<CellEdge> all;
-  all.reserve(total_edges);
-  for (CellSubgraph& sg : subgraphs) {
-    for (const auto& [cid, type] : sg.owned) {
+  std::vector<size_t> edge_base(subgraphs.size() + 1, 0);
+  for (size_t g = 0; g < subgraphs.size(); ++g) {
+    for (const auto& [cid, type] : subgraphs[g].owned) {
       RPDBSCAN_DCHECK(type_of[cid] == CellType::kUndetermined)
           << "cell " << cid << " owned by two partitions";
       type_of[cid] = type;
     }
-    all.insert(all.end(), sg.edges.begin(), sg.edges.end());
-    sg.edges.clear();
+    edge_base[g + 1] = edge_base[g] + subgraphs[g].edges.size();
   }
-  subgraphs.clear();
-  result.edges_per_round.push_back(all.size());
+  const size_t total_edges = edge_base.back();
+  result.edges_per_round.push_back(total_edges);
 
   ConcurrentDisjointSet dsu(num_cells);
   const size_t num_workers =
@@ -158,8 +156,7 @@ MergeResult MergeSubgraphsParallel(std::vector<CellSubgraph> subgraphs,
           ? opts.pool->num_threads()
           : 1;
   std::vector<std::vector<CellEdge>> kept(num_workers);
-  auto type_edge = [&](size_t worker, size_t i) {
-    CellEdge e = all[i];
+  auto type_edge = [&](size_t worker, CellEdge e) {
     if (e.type == EdgeType::kUndetermined) {
       const CellType to_type = type_of[e.to];
       if (to_type == CellType::kCore) {
@@ -177,11 +174,24 @@ MergeResult MergeSubgraphsParallel(std::vector<CellSubgraph> subgraphs,
     }
     kept[worker].push_back(e);
   };
+  constexpr size_t kChunk = 4096;
+  auto type_chunk = [&](size_t worker, size_t c) {
+    ForEachPiece(edge_base, c * kChunk,
+                 std::min(total_edges, (c + 1) * kChunk),
+                 [&](size_t g, size_t lo, size_t hi) {
+                   const CellEdge* edges = subgraphs[g].edges.data();
+                   for (size_t i = lo; i < hi; ++i) {
+                     type_edge(worker, edges[i]);
+                   }
+                 });
+  };
+  const size_t num_chunks = (total_edges + kChunk - 1) / kChunk;
   if (opts.pool != nullptr && num_workers > 1) {
-    ParallelForWorkers(*opts.pool, all.size(), type_edge, /*chunk=*/1024);
+    ParallelForWorkers(*opts.pool, num_chunks, type_chunk, /*chunk=*/1);
   } else {
-    for (size_t i = 0; i < all.size(); ++i) type_edge(0, i);
+    for (size_t c = 0; c < num_chunks; ++c) type_chunk(0, c);
   }
+  std::vector<CellSubgraph>().swap(subgraphs);
 
   std::vector<CellEdge> final_edges;
   size_t kept_total = 0;
@@ -189,7 +199,7 @@ MergeResult MergeSubgraphsParallel(std::vector<CellSubgraph> subgraphs,
   final_edges.reserve(kept_total);
   for (std::vector<CellEdge>& k : kept) {
     final_edges.insert(final_edges.end(), k.begin(), k.end());
-    k.clear();
+    std::vector<CellEdge>().swap(k);
   }
   std::sort(final_edges.begin(), final_edges.end(),
             [](const CellEdge& a, const CellEdge& b) {

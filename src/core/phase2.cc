@@ -52,7 +52,51 @@ struct Phase2Scratch {
   /// once per point before the candidate scan. Sized to the padded
   /// maybe_stride — the kernel stores whole lanes.
   std::vector<double> point_min2;
+  /// All-zero bitmap the long edge lists are marked into and read back
+  /// from (see SortUniqueIds); every read clears what it marked.
+  std::vector<uint64_t> edge_bits;
 };
+
+/// Leaves `ids` ascending and duplicate-free. A long list over an id
+/// range not much wider than itself is marked into the all-zero bitmap
+/// `bits` (one bit per id, offset to the list's lowest word) and read
+/// back in order, clearing each word it reads: O(n + range / 64) and no
+/// comparison sort. On the tree engine a 13-d cell lists about a thousand
+/// neighbours, where the per-cell sort was a measurable share of Phase II.
+/// Short or sparse lists are sorted.
+void SortUniqueIds(std::vector<uint32_t>* ids, std::vector<uint64_t>* bits) {
+  constexpr size_t kMinBitmapIds = 64;
+  constexpr size_t kMaxWordsPerId = 8;
+  const size_t n = ids->size();
+  uint32_t* v = ids->data();
+  if (n >= kMinBitmapIds) {
+    const auto [lo_it, hi_it] = std::minmax_element(v, v + n);
+    const size_t lo_word = *lo_it >> 6;
+    const size_t words = (*hi_it >> 6) - lo_word + 1;
+    if (words <= kMaxWordsPerId * n) {
+      if (bits->size() < words) bits->resize(words, 0);
+      uint64_t* b = bits->data();
+      for (size_t i = 0; i < n; ++i) {
+        b[(v[i] >> 6) - lo_word] |= uint64_t{1} << (v[i] & 63);
+      }
+      size_t out = 0;
+      for (size_t w = 0; w < words; ++w) {
+        uint64_t word = b[w];
+        if (word == 0) continue;
+        b[w] = 0;
+        const uint32_t base = static_cast<uint32_t>((lo_word + w) << 6);
+        while (word != 0) {
+          v[out++] = base | static_cast<uint32_t>(__builtin_ctzll(word));
+          word &= word - 1;
+        }
+      }
+      ids->resize(out);
+      return;
+    }
+  }
+  std::sort(v, v + n);
+  ids->erase(std::unique(ids->begin(), ids->end()), ids->end());
+}
 
 /// The per-point kernels below are templated on a compile-time dimension
 /// (kDim == 0 falls back to the runtime value): with the trip count a
@@ -546,12 +590,7 @@ bool ProcessOneCell(const Dataset& data, const CellData& cell, uint32_t cid,
                         setup.spec.query_eps, scratch, point_is_core,
                         cell_core, counters);
   }
-  if (!scratch.cell_edges.empty()) {
-    std::vector<uint32_t>& cell_edges = scratch.cell_edges;
-    std::sort(cell_edges.begin(), cell_edges.end());
-    cell_edges.erase(std::unique(cell_edges.begin(), cell_edges.end()),
-                     cell_edges.end());
-  }
+  SortUniqueIds(&scratch.cell_edges, &scratch.edge_bits);
   return cell_core;
 }
 
@@ -601,7 +640,10 @@ Phase2Result BuildSubgraphs(const Dataset& data, const CellSet& cells,
         TaskCounters counters;
         Phase2Scratch scratch;
         scratch.neighbor_cells.reserve(64);
-        for (const uint32_t cid : cells.partition(pid)) {
+        const std::vector<uint32_t>& part = cells.partition(pid);
+        graph.owned.reserve(part.size());
+        for (size_t i = 0; i < part.size(); ++i) {
+          const uint32_t cid = part[i];
           const bool cell_core = ProcessOneCell(
               data, cells.cell(cid), cid, dict, min_pts, num_subdicts,
               opts.batched_queries, setup, scratch,
@@ -609,6 +651,16 @@ Phase2Result BuildSubgraphs(const Dataset& data, const CellSet& cells,
           result.cell_is_core[cid] = cell_core ? 1 : 0;
           graph.owned.emplace_back(
               cid, cell_core ? CellType::kCore : CellType::kNonCore);
+          const size_t need = graph.edges.size() + scratch.cell_edges.size();
+          if (need > graph.edges.capacity()) {
+            // Grow to the partition's size extrapolated from the cells
+            // done so far (at least doubling): with about a thousand edges
+            // per 13-d cell, a plain doubling series re-copies and
+            // re-faults the whole edge array several times over.
+            const size_t estimate = need * part.size() / (i + 1);
+            graph.edges.reserve(
+                std::max(estimate + estimate / 8, 2 * graph.edges.capacity()));
+          }
           for (const uint32_t to : scratch.cell_edges) {
             graph.edges.push_back(CellEdge{cid, to, EdgeType::kUndetermined});
           }

@@ -1,6 +1,7 @@
 #ifndef RPDBSCAN_PARALLEL_PARALLEL_SCAN_H_
 #define RPDBSCAN_PARALLEL_PARALLEL_SCAN_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <vector>
 
@@ -52,6 +53,26 @@ T ExclusiveScan(T* v, size_t n, ThreadPool* pool) {
       },
       /*chunk=*/1);
   return base[num_chunks];
+}
+
+/// Calls fn(p, local_begin, local_end) for each piece of the global range
+/// [begin, end) that falls in part p, where `base` (one entry per part
+/// plus the total: an exclusive prefix sum of the part sizes) holds each
+/// part's first global index. Lets fixed-size chunks of a concatenation be
+/// processed in place, without materializing it.
+template <typename Fn>
+void ForEachPiece(const std::vector<size_t>& base, size_t begin, size_t end,
+                  Fn&& fn) {
+  size_t p = static_cast<size_t>(
+                 std::upper_bound(base.begin(), base.end(), begin) -
+                 base.begin()) -
+             1;
+  while (begin < end) {
+    const size_t piece_end = std::min(end, base[p + 1]);
+    if (piece_end > begin) fn(p, begin - base[p], piece_end - base[p]);
+    begin = piece_end;
+    ++p;
+  }
 }
 
 }  // namespace rpdbscan

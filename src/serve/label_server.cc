@@ -1,7 +1,9 @@
 #include "serve/label_server.h"
 
 #include <array>
+#include <cmath>
 #include <cstring>
+#include <string>
 #include <thread>
 
 #include "core/cell_coord.h"
@@ -30,6 +32,24 @@ constexpr size_t kLatencyCapacity = size_t{1} << 16;
 /// small (a handful of queries each), so a coarser chunk keeps the
 /// cursor cold without unbalancing the tail.
 constexpr size_t kGroupChunk = 16;
+
+/// InvalidArgument naming the first query (in batch order) with a NaN or
+/// infinite coordinate, OK when every coordinate is finite. A non-finite
+/// coordinate would reach the float-to-int cast of the home-cell binning,
+/// which is undefined. One pass over the batch's floats.
+Status CheckFiniteQueries(const Dataset& queries) {
+  const float* v = queries.raw();
+  const size_t n = queries.size() * queries.dim();
+  for (size_t i = 0; i < n; ++i) {
+    if (!std::isfinite(v[i])) {
+      return Status::InvalidArgument(
+          "serve batch: query " + std::to_string(i / queries.dim()) +
+          " dimension " + std::to_string(i % queries.dim()) +
+          ": coordinate is not finite");
+    }
+  }
+  return Status::OK();
+}
 
 /// Deterministic "nearest cluster-labeled cell" tracker: lexicographic
 /// min of (box min-distance, cell id), so every candidate enumeration
@@ -639,6 +659,7 @@ Status LabelServer::ClassifyBatch(const Dataset& queries, ThreadPool& pool,
         std::to_string(queries.dim()) + " does not match the snapshot's " +
         std::to_string(dim));
   }
+  RPDBSCAN_RETURN_IF_ERROR(CheckFiniteQueries(queries));
   // The grouped path needs the precomputed stencil neighborhoods and
   // 32-bit (slot | index) keys; anything else takes the per-query path
   // (bit-identical results either way).
@@ -661,6 +682,7 @@ Status LabelServer::ClassifyEach(const Dataset& queries, ThreadPool& pool,
         std::to_string(queries.dim()) + " does not match the snapshot's " +
         std::to_string(dim));
   }
+  RPDBSCAN_RETURN_IF_ERROR(CheckFiniteQueries(queries));
   return ClassifyPerQuery(queries, pool, out, stats, latency);
 }
 

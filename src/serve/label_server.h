@@ -172,6 +172,9 @@ class LabelServer {
 
   /// Classifies one point of snapshot dimensionality. Thread-safe and
   /// allocation-free. Counters accumulate into `*stats` when given.
+  /// Precondition: every coordinate of `q` is finite (a NaN or Inf would
+  /// reach the float-to-int cell binning, which is undefined). The batch
+  /// entry points check this and reject such queries.
   ServeResult Classify(const float* q, ServeStats* stats = nullptr) const;
 
   /// Classifies every point of `queries` on `pool`, writing one result
@@ -180,7 +183,9 @@ class LabelServer {
   /// Classify point by point ({cluster, kind, certainty, density} all
   /// match); merged semantic stats match the serial path too, while the
   /// probe counters follow the grouped accounting documented on
-  /// ServeStats. Fails with InvalidArgument on a dimensionality mismatch.
+  /// ServeStats. Fails with InvalidArgument on a dimensionality mismatch,
+  /// or naming the first query with a NaN or Inf coordinate; both checks
+  /// run before any query is classified.
   ///
   /// This is the batched hot path: queries are grouped by home-cell slot
   /// (a deterministic radix sort of (slot, index) keys — groups never
@@ -201,6 +206,7 @@ class LabelServer {
   /// seed batch path ran, kept as the bench_serve head-to-head and the
   /// fallback for tree-engine snapshots. Identical results and stats to
   /// serial Classify; per-query latency stamps when `latency` is given.
+  /// Rejects the same inputs as ClassifyBatch.
   Status ClassifyEach(const Dataset& queries, ThreadPool& pool,
                       std::vector<ServeResult>* out,
                       ServeStats* stats = nullptr,

@@ -6,6 +6,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <map>
+#include <type_traits>
 #include <vector>
 
 #include "parallel/thread_pool.h"
@@ -14,6 +15,13 @@
 
 namespace rpdbscan {
 namespace {
+
+// The per-slot metadata and the R-tree point into the dictionary's own
+// arrays: a move carries them along, a copy would leave them dangling
+// into the source. Copies must not compile.
+static_assert(!std::is_copy_constructible_v<CellDictionary>);
+static_assert(!std::is_copy_assignable_v<CellDictionary>);
+static_assert(std::is_nothrow_move_constructible_v<CellDictionary>);
 
 struct Fixture {
   Dataset data{2};

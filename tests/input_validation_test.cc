@@ -2,11 +2,13 @@
 // lattice cannot represent — non-finite values and values binning beyond
 // GridGeometry::kMaxCellIndex — with InvalidArgument, instead of casting
 // them to int32 (undefined) and clustering whatever cells that produced.
+// The serving batch entry points reject non-finite queries the same way.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <limits>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -16,7 +18,10 @@
 #include "hierarchy/eps_ladder.h"
 #include "io/point_source.h"
 #include "parallel/thread_pool.h"
+#include "serve/label_server.h"
+#include "serve/snapshot.h"
 #include "stream/incremental.h"
+#include "synth/generators.h"
 
 namespace rpdbscan {
 namespace {
@@ -166,6 +171,66 @@ TEST(InputValidationTest, StreamCreateAndIngestReject) {
   ASSERT_TRUE(stream->Ingest(Points2({{5.1f, 5.1f}})).ok());
   auto epoch = stream->PublishEpoch();
   ASSERT_TRUE(epoch.ok()) << epoch.status();
+}
+
+// A frozen model over `dim`-d blobs: d <= 5 serves through the stencil
+// (grouped batches), d = 6 through the tree fallback.
+std::shared_ptr<const ClusterModelSnapshot> Frozen(size_t dim) {
+  RpDbscanOptions o;
+  o.eps = dim <= 5 ? 2.0 : 4.0;
+  o.min_pts = 10;
+  o.num_threads = 2;
+  o.capture_model = true;
+  auto run = RunRpDbscan(synth::Blobs(1500, 4, 1.5, 3, dim), o);
+  EXPECT_TRUE(run.ok()) << run.status();
+  auto snap = ClusterModelSnapshot::FromModel(std::move(*run->model));
+  EXPECT_TRUE(snap.ok()) << snap.status();
+  return std::make_shared<const ClusterModelSnapshot>(std::move(*snap));
+}
+
+TEST(InputValidationTest, ServeBatchesRejectNonFiniteQueries) {
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  for (const size_t dim : {size_t{3}, size_t{6}}) {
+    SCOPED_TRACE("dim " + std::to_string(dim));
+    const auto snapshot = Frozen(dim);
+    ASSERT_EQ(snapshot->dictionary().has_stencil(), dim <= 5);
+    const LabelServer server(snapshot);
+    ThreadPool pool(2);
+    for (const float bad : {nan, inf, -inf}) {
+      // Queries 0..4 finite; query 5 carries the bad value in its last
+      // dimension and query 7 in its first: only query 5 is named.
+      Dataset queries(dim);
+      std::vector<float> q(dim, 50.0f);
+      for (size_t i = 0; i < 10; ++i) {
+        std::vector<float> row = q;
+        if (i == 5) row[dim - 1] = bad;
+        if (i == 7) row[0] = bad;
+        queries.Append(row.data());
+      }
+      const std::string want =
+          "query 5 dimension " + std::to_string(dim - 1) + ": coordinate is "
+          "not finite";
+      // Rejected before any work: the output keeps what it held.
+      std::vector<ServeResult> out(1);
+      out[0].cluster = 42;
+      const Status batch = server.ClassifyBatch(queries, pool, &out);
+      EXPECT_EQ(batch.code(), StatusCode::kInvalidArgument) << batch;
+      EXPECT_NE(batch.message().find(want), std::string::npos) << batch;
+      const Status each = server.ClassifyEach(queries, pool, &out);
+      EXPECT_EQ(each.code(), StatusCode::kInvalidArgument) << each;
+      EXPECT_NE(each.message().find(want), std::string::npos) << each;
+      ASSERT_EQ(out.size(), 1u);
+      EXPECT_EQ(out[0].cluster, 42);
+    }
+    // The same batch with finite values classifies.
+    Dataset good(dim);
+    std::vector<float> q(dim, 50.0f);
+    for (size_t i = 0; i < 10; ++i) good.Append(q.data());
+    std::vector<ServeResult> out;
+    EXPECT_TRUE(server.ClassifyBatch(good, pool, &out).ok());
+    EXPECT_EQ(out.size(), 10u);
+  }
 }
 
 }  // namespace

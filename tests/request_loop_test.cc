@@ -10,6 +10,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -299,6 +300,65 @@ TEST(RequestLoopTest, ServesFramedBatchesOverSocketpair) {
   const LatencySummary lat = stats.latency.Summarize();
   EXPECT_GT(lat.max_us, 0.0);
   EXPECT_LE(lat.p50_us, lat.p999_us);
+}
+
+TEST(RequestLoopTest, NonFiniteQueryGetsErrorFrameAndSessionContinues) {
+  const uint64_t seed = TestSeed(7600);
+  SCOPED_TRACE(SeedNote(seed));
+  const Served f = Freeze(seed);
+  const LabelServer server(f.snapshot);
+
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  const int server_fd = fds[0];
+  const int client_fd = fds[1];
+
+  RequestLoopStats stats;
+  std::thread serving([&] {
+    ThreadPool pool(2);
+    const Status s = ServeRequestLoop(server_fd, server_fd, server, pool,
+                                      RequestLoopOptions(), &stats);
+    EXPECT_TRUE(s.ok()) << s;
+  });
+
+  // A well-formed frame whose second query has a NaN coordinate: the
+  // loop answers with an error frame naming it and keeps the session.
+  Dataset bad(f.data.dim());
+  bad.Append(f.data.point(0));
+  std::vector<float> row(f.data.point(1), f.data.point(1) + f.data.dim());
+  row[0] = std::numeric_limits<float>::quiet_NaN();
+  bad.Append(row.data());
+  ASSERT_TRUE(SendClassifyRequest(client_fd, bad).ok());
+  auto err = ReadClassifyResponse(client_fd);
+  ASSERT_FALSE(err.ok());
+  EXPECT_EQ(err.status().code(), StatusCode::kInternal) << err.status();
+  EXPECT_NE(err.status().message().find("query 1 dimension 0"),
+            std::string::npos)
+      << err.status();
+
+  // The next batch on the same connection is served normally.
+  std::vector<ServeResult> local;
+  {
+    ThreadPool pool(2);
+    ASSERT_TRUE(server.ClassifyBatch(f.data, pool, &local).ok());
+  }
+  ASSERT_TRUE(SendClassifyRequest(client_fd, f.data).ok());
+  auto results = ReadClassifyResponse(client_fd);
+  ASSERT_TRUE(results.ok()) << results.status();
+  ASSERT_EQ(results->size(), local.size());
+  for (size_t i = 0; i < local.size(); ++i) {
+    ASSERT_EQ((*results)[i].cluster, local[i].cluster) << i;
+    ASSERT_EQ((*results)[i].density, local[i].density) << i;
+  }
+
+  ASSERT_TRUE(SendShutdown(client_fd).ok());
+  serving.join();
+  ::close(client_fd);
+  ::close(server_fd);
+  EXPECT_EQ(stats.requests, 2u);
+  EXPECT_EQ(stats.responses, 1u);
+  EXPECT_EQ(stats.errors, 1u);
+  EXPECT_EQ(stats.serve.queries, f.data.size());
 }
 
 TEST(RequestLoopTest, CleanHangupEndsTheLoop) {
