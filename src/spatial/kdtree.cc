@@ -118,37 +118,6 @@ std::vector<std::pair<double, uint32_t>> KdTree::KNearest(const float* q,
   return out;
 }
 
-void KdTree::CollectInRadius(const float* q, double radius,
-                             std::vector<uint32_t>* out) const {
-  if (perm_.empty()) return;
-  const double r2 = radius * radius;
-  // Explicit DFS stack. Median splits halve the range every level, so the
-  // depth is bounded by log2(n) + 1 <= 33 for 32-bit point counts; each
-  // iteration pops one node and pushes at most its two children.
-  uint32_t stack[64];
-  size_t top = 0;
-  stack[top++] = 0;
-  while (top > 0) {
-    const Node& node = nodes_[stack[--top]];
-    if (node.leaf) {
-      for (uint32_t i = node.begin; i < node.end; ++i) {
-        const uint32_t id = perm_[i];
-        const double d2 = DistanceSquared(q, data_ + id * dim_, dim_);
-        if (d2 <= r2) out->push_back(id);
-      }
-      continue;
-    }
-    const double delta =
-        static_cast<double>(q[node.split_dim]) - node.split_val;
-    const uint32_t near = delta <= 0 ? node.left : node.right;
-    const uint32_t far = delta <= 0 ? node.right : node.left;
-    // Push far first so the near subtree is drained first (same visit
-    // order as the recursive form).
-    if (delta * delta <= r2) stack[top++] = far;
-    stack[top++] = near;
-  }
-}
-
 size_t KdTree::CountInRadius(const float* q, double radius,
                              size_t cap) const {
   size_t count = 0;

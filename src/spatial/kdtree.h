@@ -12,10 +12,10 @@ namespace rpdbscan {
 
 /// A bulk-loaded kd-tree over float points with runtime dimensionality.
 ///
-/// Two roles in this repository, both straight from the paper:
-///  * exact eps-region queries for the original DBSCAN baseline, and
-///  * O(log |cell|) candidate-cell lookup inside a sub-dictionary
-///    (Lemma 5.6 names "R*-tree or kd-tree"; we use a kd-tree).
+/// Exact eps-region and kNN queries for the DBSCAN baselines, the
+/// auditors and the k-distance diagnostic. (Candidate-cell lookup inside
+/// a sub-dictionary, Lemma 5.6, uses the kd-tree over cell boxes in
+/// spatial/box_tree.h.)
 ///
 /// The tree does not own the coordinate buffer; the caller keeps it alive.
 /// Immutable after Build. Thread-safe for concurrent queries.
@@ -46,13 +46,6 @@ class KdTree {
                     [&out](uint32_t id, double) { out.push_back(id); });
     return out;
   }
-
-  /// Batched form of ForEachInRadius: appends (without clearing) every id
-  /// within `radius` of `q` to the caller-owned `*out`, in the same order
-  /// the callback form visits them. Lets callers amortize one traversal
-  /// over many consumers of the hit list (the cell-level region query).
-  void CollectInRadius(const float* q, double radius,
-                       std::vector<uint32_t>* out) const;
 
   /// Counts points within `radius` of `q`, stopping early once the count
   /// reaches `cap` (used by DBSCAN core tests where only ">= minPts"

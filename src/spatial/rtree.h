@@ -12,7 +12,7 @@ namespace rpdbscan {
 
 /// A bulk-loaded R-tree over float points (Sort-Tile-Recursive packing),
 /// the other index family Lemma 5.6 names for candidate-cell lookup.
-/// Interface mirrors KdTree so the cell dictionary can use either.
+/// Searched by radius around a point, like KdTree.
 ///
 /// Non-owning over the coordinate buffer; immutable after Build;
 /// thread-safe for concurrent queries.
@@ -44,8 +44,8 @@ class RTree {
 
   /// Batched form of ForEachInRadius: appends (without clearing) every id
   /// within `radius` of `q` to the caller-owned `*out`, in the same order
-  /// the callback form visits them. Mirrors KdTree::CollectInRadius so the
-  /// cell dictionary can gather candidates with either index.
+  /// the callback form visits them: the cell dictionary's R-tree gather
+  /// reuses one hit buffer across sub-dictionaries.
   void CollectInRadius(const float* q, double radius,
                        std::vector<uint32_t>* out) const;
 

@@ -193,33 +193,5 @@ TEST(KdTreeTest, LeafSizeOneStillCorrect) {
   EXPECT_EQ(got, want);
 }
 
-TEST(KdTreeTest, CollectInRadiusMatchesCallbackFormAndAppends) {
-  const Dataset ds = RandomDataset(2000, 3, 17);
-  KdTree tree;
-  tree.Build(ds.flat().data(), ds.size(), ds.dim());
-  for (const double r : {0.0, 2.0, 10.0, 200.0}) {
-    const float* q = ds.point(11);
-    std::vector<uint32_t> got = {4242};  // must append, not clear
-    tree.CollectInRadius(q, r, &got);
-    ASSERT_GE(got.size(), 1u);
-    EXPECT_EQ(got.front(), 4242u);
-    got.erase(got.begin());
-    // Same ids in the same visit order as the callback form.
-    std::vector<uint32_t> want;
-    tree.ForEachInRadius(q, r,
-                         [&want](uint32_t id, double) { want.push_back(id); });
-    EXPECT_EQ(got, want);
-  }
-}
-
-TEST(KdTreeTest, CollectInRadiusEmptyTree) {
-  KdTree tree;
-  tree.Build(nullptr, 0, 2);
-  const float q[2] = {0, 0};
-  std::vector<uint32_t> got;
-  tree.CollectInRadius(q, 10, &got);
-  EXPECT_TRUE(got.empty());
-}
-
 }  // namespace
 }  // namespace rpdbscan
