@@ -44,8 +44,8 @@ StatusOr<GridGeometry> GridGeometry::Create(size_t dim, double eps,
 }
 
 Status GridGeometry::CheckPoints(const float* points, size_t count,
-                                 size_t first_id,
-                                 ThreadPool* pool) const {
+                                 size_t first_id, ThreadPool* pool,
+                                 const char* noun) const {
   // floor(x) lies in [-L, L] exactly when x lies in [-L, L + 1); the
   // negated form also rejects NaN.
   const double limit = static_cast<double>(kMaxCellIndex);
@@ -78,7 +78,8 @@ Status GridGeometry::CheckPoints(const float* points, size_t count,
   size_t d = 0;
   while (!bad(i, d)) ++d;
   const float v = points[i * dim_ + d];
-  const std::string where = "point " + std::to_string(first_id + i) +
+  const std::string where = std::string(noun) + " " +
+                            std::to_string(first_id + i) +
                             " dimension " + std::to_string(d);
   if (!std::isfinite(v)) {
     return Status::InvalidArgument(where + ": coordinate is not finite");

@@ -51,15 +51,18 @@ class GridGeometry {
   static constexpr int64_t kMaxCellIndex = int64_t{1} << 30;
 
   /// The input check every point-binning entry point runs first (both
-  /// CellSet::Build engines, CellSet::BuildExternal, IngestBuffer): OK iff
-  /// each coordinate of the `count` row-major points at `points` is finite
-  /// and bins to a lattice index within +-kMaxCellIndex. Otherwise
+  /// CellSet::Build engines, CellSet::BuildExternal, IngestBuffer and
+  /// LabelServer's query batches): OK iff each coordinate of the `count`
+  /// row-major points at `points` is finite and bins to a lattice index
+  /// within +-kMaxCellIndex. Otherwise
   /// InvalidArgument naming the first offending point, counted from
-  /// `first_id`. Without it, a NaN or a value far beyond eps * 2^31 would
+  /// `first_id` and called `noun` in the message ("point 7 dimension 1:
+  /// ..."). Without it, a NaN or a value far beyond eps * 2^31 would
   /// reach the float-to-int32 cast of CellIndexOf, which is undefined.
   /// Scans in parallel on `pool` when given; the report is the same.
   Status CheckPoints(const float* points, size_t count, size_t first_id = 0,
-                     ThreadPool* pool = nullptr) const;
+                     ThreadPool* pool = nullptr,
+                     const char* noun = "point") const;
 
   /// Lattice index along one dimension of the cell containing coordinate
   /// `v`. This is THE binning arithmetic: CellOf and the sorted Phase I-1

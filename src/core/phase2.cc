@@ -1,7 +1,6 @@
 #include "core/phase2.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <limits>
 #include <numeric>
@@ -138,17 +137,6 @@ inline double PointMbrMaxDist2(const float* lo_t, const float* hi_t,
   return mx;
 }
 
-/// Statistics one partition task accumulates and flushes once at the end.
-struct TaskCounters {
-  size_t visited = 0;
-  size_t possible = 0;
-  size_t scanned = 0;
-  size_t early_exits = 0;
-  size_t stencil_probes = 0;
-  size_t stencil_hits = 0;
-  uint64_t quant_fallbacks = 0;
-};
-
 /// Resolved kernel dispatch for one BuildSubgraphs run: the exact lane
 /// kernel for the run's dimension and SIMD tier, plus (when the
 /// dictionary carries quantized lanes and the option asks for them) the
@@ -247,7 +235,7 @@ void ScanCellPoints(const Dataset& data, const CellData& cell, uint32_t cid,
                     const CandidateCellList& cand, size_t min_pts,
                     const uint8_t* seed, Counter& counter,
                     Phase2Scratch& scratch, uint8_t* point_is_core,
-                    bool& cell_core, TaskCounters& counters) {
+                    bool& cell_core, Phase2Counters& counters) {
   const size_t num_maybe = cand.num_maybe();
   size_t num_matched = 0;
   // Records that a core point matched maybe-candidate `idx`: later points
@@ -279,7 +267,7 @@ void ScanCellPoints(const Dataset& data, const CellData& cell, uint32_t cid,
       counter.BeginPoint(p, cand);
       for (size_t i = 0; i < num_maybe; ++i) {
         if (scratch.maybe_matched[i]) continue;
-        ++counters.scanned;
+        ++counters.candidate_cells_scanned;
         if (counter.Count(cand, i, p) > 0) record_matched(i);
       }
       continue;
@@ -295,7 +283,7 @@ void ScanCellPoints(const Dataset& data, const CellData& cell, uint32_t cid,
     while (count < min_pts && i < num_maybe) {
       if (count + scratch.suffix_remaining[i] < min_pts) break;
       const uint32_t matched = counter.Count(cand, i, p);
-      ++counters.scanned;
+      ++counters.candidate_cells_scanned;
       if (matched > 0) {
         count += matched;
         scratch.neighbor_cells.push_back(static_cast<uint32_t>(i));
@@ -312,7 +300,7 @@ void ScanCellPoints(const Dataset& data, const CellData& cell, uint32_t cid,
     // but only those no earlier core point has matched yet.
     for (; i < num_maybe; ++i) {
       if (scratch.maybe_matched[i]) continue;
-      ++counters.scanned;
+      ++counters.candidate_cells_scanned;
       if (counter.Count(cand, i, p) > 0) {
         record_matched(i);
       }
@@ -328,7 +316,7 @@ void ScanCellDispatch(const Dataset& data, const CellData& cell,
                       size_t min_pts, size_t dim, double eps2,
                       const uint8_t* seed, const KernelConfig& kernels,
                       Phase2Scratch& scratch, uint8_t* point_is_core,
-                      bool& cell_core, TaskCounters& counters) {
+                      bool& cell_core, Phase2Counters& counters) {
   if (kernels.quant_fn != nullptr) {
     QuantCounter<kDim> counter;
     counter.qfn = kernels.quant_fn;
@@ -338,7 +326,7 @@ void ScanCellDispatch(const Dataset& data, const CellData& cell,
     counter.spec = kernels.qspec;
     counter.dim_rt = dim;
     counter.eps2 = eps2;
-    counter.fallbacks = &counters.quant_fallbacks;
+    counter.fallbacks = &counters.quantized_exact_fallbacks;
     ScanCellPoints<kDim>(data, cell, cid, cand, min_pts, seed, counter,
                          scratch, point_is_core, cell_core, counters);
   } else {
@@ -363,7 +351,7 @@ void ProcessCellBatched(const Dataset& data, const CellData& cell,
                         const QueryEpsSpec& spec, double eps2,
                         const uint8_t* seed, Phase2Scratch& scratch,
                         uint8_t* point_is_core, bool& cell_core,
-                        TaskCounters& counters) {
+                        Phase2Counters& counters) {
   const GridGeometry& geom = dict.geom();
   const size_t dim = geom.dim();
   if (cell.point_ids.empty()) return;
@@ -408,9 +396,9 @@ void ProcessCellBatched(const Dataset& data, const CellData& cell,
     counters.stencil_probes += cand.stencil_probes;
     counters.stencil_hits += cand.stencil_hits;
   } else {
-    counters.visited +=
+    counters.subdict_visited +=
         dict.QueryCell(cell.coord, mbr_lo, mbr_hi, &cand, spec);
-    counters.possible += num_subdicts;
+    counters.subdict_possible += num_subdicts;
   }
   const size_t num_maybe = cand.num_maybe();
   scratch.cell_edges.reserve(cand.always_neighbors.size() + num_maybe);
@@ -485,12 +473,12 @@ void ProcessCellPerPoint(const Dataset& data, const CellData& cell,
                          size_t min_pts, size_t num_subdicts,
                          double query_eps, Phase2Scratch& scratch,
                          uint8_t* point_is_core, bool& cell_core,
-                         TaskCounters& counters) {
+                         Phase2Counters& counters) {
   for (const uint32_t point_id : cell.point_ids) {
     const float* p = data.point(point_id);
     scratch.neighbor_cells.clear();
     uint64_t count = 0;
-    counters.visited += dict.Query(
+    counters.subdict_visited += dict.Query(
         p,
         [&](const DictCell& dc, uint32_t matched) {
           count += matched;
@@ -499,7 +487,7 @@ void ProcessCellPerPoint(const Dataset& data, const CellData& cell,
           }
         },
         query_eps);
-    counters.possible += num_subdicts;
+    counters.subdict_possible += num_subdicts;
     if (count >= min_pts) {
       // Core point (Example 5.7): its neighbor cells become
       // reachability successors of this cell.
@@ -573,7 +561,7 @@ bool ProcessOneCell(const Dataset& data, const CellData& cell, uint32_t cid,
                     const CellDictionary& dict, size_t min_pts,
                     size_t num_subdicts, bool batched,
                     const EngineSetup& setup, Phase2Scratch& scratch,
-                    uint8_t* point_is_core, TaskCounters& counters) {
+                    uint8_t* point_is_core, Phase2Counters& counters) {
   bool cell_core = false;
   scratch.cell_edges.clear();
   // Sampled-core mode: unsampled cells are skipped outright — their points
@@ -594,6 +582,38 @@ bool ProcessOneCell(const Dataset& data, const CellData& cell, uint32_t cid,
   return cell_core;
 }
 
+/// Runs `task(t, scratch, counters)` for every t < num_tasks on `pool`,
+/// one claim per task, and returns the tasks' counters summed — the one
+/// counter reduction of both Phase II entry points. Each task fills its
+/// own scratch and counters and publishes the counters to its slot once
+/// at the end, so the hot loops share no cache lines and need no atomics.
+template <typename TaskFn>
+Phase2Counters RunCellTasks(ThreadPool& pool, size_t num_tasks,
+                            TaskFn&& task) {
+  std::vector<Phase2Counters> per_task(num_tasks);
+  ParallelFor(
+      pool, num_tasks,
+      [&](size_t t) {
+        Phase2Counters counters;
+        Phase2Scratch scratch;
+        scratch.neighbor_cells.reserve(64);
+        task(t, scratch, counters);
+        per_task[t] = counters;
+      },
+      /*chunk=*/1);
+  Phase2Counters sum;
+  for (const Phase2Counters& c : per_task) {
+    sum.subdict_visited += c.subdict_visited;
+    sum.subdict_possible += c.subdict_possible;
+    sum.candidate_cells_scanned += c.candidate_cells_scanned;
+    sum.early_exits += c.early_exits;
+    sum.stencil_probes += c.stencil_probes;
+    sum.stencil_hits += c.stencil_hits;
+    sum.quantized_exact_fallbacks += c.quantized_exact_fallbacks;
+  }
+  return sum;
+}
+
 }  // namespace
 
 Phase2Result BuildSubgraphs(const Dataset& data, const CellSet& cells,
@@ -605,13 +625,6 @@ Phase2Result BuildSubgraphs(const Dataset& data, const CellSet& cells,
   result.point_is_core.assign(data.size(), 0);
   result.cell_is_core.assign(cells.num_cells(), 0);
   result.task_seconds.assign(k, 0.0);
-  std::atomic<size_t> subdict_visited{0};
-  std::atomic<size_t> subdict_possible{0};
-  std::atomic<size_t> cells_scanned{0};
-  std::atomic<size_t> early_exits{0};
-  std::atomic<size_t> stencil_probes{0};
-  std::atomic<size_t> stencil_hits{0};
-  std::atomic<uint64_t> quant_fallbacks{0};
   const size_t num_subdicts = dict.num_subdictionaries();
   const EngineSetup setup = ResolveEngine(dict, opts);
   result.simd_level = setup.level;
@@ -630,16 +643,13 @@ Phase2Result BuildSubgraphs(const Dataset& data, const CellSet& cells,
                             cells.PartitionPoints(b);
                    });
 
-  ParallelFor(
+  static_cast<Phase2Counters&>(result) = RunCellTasks(
       pool, k,
-      [&](size_t slot) {
+      [&](size_t slot, Phase2Scratch& scratch, Phase2Counters& counters) {
         const size_t pid = schedule[slot];
         Stopwatch watch;
         CellSubgraph& graph = result.subgraphs[pid];
         graph.partition_id = static_cast<uint32_t>(pid);
-        TaskCounters counters;
-        Phase2Scratch scratch;
-        scratch.neighbor_cells.reserve(64);
         const std::vector<uint32_t>& part = cells.partition(pid);
         graph.owned.reserve(part.size());
         for (size_t i = 0; i < part.size(); ++i) {
@@ -665,32 +675,8 @@ Phase2Result BuildSubgraphs(const Dataset& data, const CellSet& cells,
             graph.edges.push_back(CellEdge{cid, to, EdgeType::kUndetermined});
           }
         }
-        subdict_visited.fetch_add(counters.visited,
-                                  std::memory_order_relaxed);
-        subdict_possible.fetch_add(counters.possible,
-                                   std::memory_order_relaxed);
-        cells_scanned.fetch_add(counters.scanned,
-                                std::memory_order_relaxed);
-        early_exits.fetch_add(counters.early_exits,
-                              std::memory_order_relaxed);
-        stencil_probes.fetch_add(counters.stencil_probes,
-                                 std::memory_order_relaxed);
-        stencil_hits.fetch_add(counters.stencil_hits,
-                               std::memory_order_relaxed);
-        quant_fallbacks.fetch_add(counters.quant_fallbacks,
-                                  std::memory_order_relaxed);
         result.task_seconds[pid] = watch.ElapsedSeconds();
-      },
-      /*chunk=*/1);
-
-  result.subdict_visited = subdict_visited.load();
-  result.subdict_possible = subdict_possible.load();
-  result.candidate_cells_scanned = cells_scanned.load();
-  result.early_exits = early_exits.load();
-  result.stencil_probes = stencil_probes.load();
-  result.stencil_hits = stencil_hits.load();
-  result.quantized_exact_fallbacks =
-      static_cast<size_t>(quant_fallbacks.load());
+      });
   return result;
 }
 
@@ -701,8 +687,6 @@ Phase2CellUpdate RecomputeCells(const Dataset& data, const CellSet& cells,
                                 uint8_t* point_is_core) {
   Phase2CellUpdate update;
   const EngineSetup setup = ResolveEngine(dict, opts);
-  update.simd_level = setup.level;
-  update.quantized = setup.use_quantized;
   const size_t m = targets.size();
   update.cell_is_core.assign(m, 0);
   update.cell_edges.resize(m);
@@ -716,25 +700,15 @@ Phase2CellUpdate RecomputeCells(const Dataset& data, const CellSet& cells,
     }
     update.recomputed_points += cells.cell(cid).point_ids.size();
   }
-  std::atomic<size_t> subdict_visited{0};
-  std::atomic<size_t> subdict_possible{0};
-  std::atomic<size_t> cells_scanned{0};
-  std::atomic<size_t> early_exits{0};
-  std::atomic<size_t> stencil_probes{0};
-  std::atomic<size_t> stencil_hits{0};
-  std::atomic<uint64_t> quant_fallbacks{0};
   const size_t num_subdicts = dict.num_subdictionaries();
   // Chunked over the target list (targets share no points, so the per-cell
   // tasks are independent); each chunk reuses one scratch set like a
   // partition task does.
   const size_t num_chunks = std::min(m, pool.num_threads() * 4);
   const size_t chunk_len = (m + num_chunks - 1) / num_chunks;
-  ParallelFor(
+  static_cast<Phase2Counters&>(update) = RunCellTasks(
       pool, num_chunks,
-      [&](size_t c) {
-        TaskCounters counters;
-        Phase2Scratch scratch;
-        scratch.neighbor_cells.reserve(64);
+      [&](size_t c, Phase2Scratch& scratch, Phase2Counters& counters) {
         const size_t end = std::min(m, (c + 1) * chunk_len);
         for (size_t t = c * chunk_len; t < end; ++t) {
           const uint32_t cid = targets[t];
@@ -745,29 +719,7 @@ Phase2CellUpdate RecomputeCells(const Dataset& data, const CellSet& cells,
           update.cell_edges[t].assign(scratch.cell_edges.begin(),
                                       scratch.cell_edges.end());
         }
-        subdict_visited.fetch_add(counters.visited,
-                                  std::memory_order_relaxed);
-        subdict_possible.fetch_add(counters.possible,
-                                   std::memory_order_relaxed);
-        cells_scanned.fetch_add(counters.scanned, std::memory_order_relaxed);
-        early_exits.fetch_add(counters.early_exits,
-                              std::memory_order_relaxed);
-        stencil_probes.fetch_add(counters.stencil_probes,
-                                 std::memory_order_relaxed);
-        stencil_hits.fetch_add(counters.stencil_hits,
-                               std::memory_order_relaxed);
-        quant_fallbacks.fetch_add(counters.quant_fallbacks,
-                                  std::memory_order_relaxed);
-      },
-      /*chunk=*/1);
-  update.subdict_visited = subdict_visited.load();
-  update.subdict_possible = subdict_possible.load();
-  update.candidate_cells_scanned = cells_scanned.load();
-  update.early_exits = early_exits.load();
-  update.stencil_probes = stencil_probes.load();
-  update.stencil_hits = stencil_hits.load();
-  update.quantized_exact_fallbacks =
-      static_cast<size_t>(quant_fallbacks.load());
+      });
   return update;
 }
 

@@ -75,9 +75,32 @@ struct Phase2Options {
   const uint8_t* core_cell_mask = nullptr;
 };
 
+/// The work counters of one Phase II run, summed over its tasks.
+/// Phase2Result, Phase2CellUpdate and RunStats carry them by these names.
+struct Phase2Counters {
+  /// Sub-dictionaries inspected / visits possible over all region queries
+  /// (Lemma 5.10 effectiveness): one query per point on the per-point
+  /// path, one per cell on the batched kernel.
+  size_t subdict_visited = 0;
+  size_t subdict_possible = 0;
+  /// Batched kernel only: per-point evaluations of "maybe" candidate
+  /// cells, and points proven core before exhausting their candidates.
+  size_t candidate_cells_scanned = 0;
+  size_t early_exits = 0;
+  /// Stencil engine only: neighborhood entries walked (at most
+  /// num_offsets + 1 per cell) and entries that resolved to a dictionary
+  /// cell. The precomputed neighborhoods store present cells only, so the
+  /// two differ only on the hash-probing fallback for absent sources.
+  size_t stencil_probes = 0;
+  size_t stencil_hits = 0;
+  /// Quantized path only: sub-cell evaluations inside the quantization
+  /// error band that took the exact-float fallback.
+  uint64_t quantized_exact_fallbacks = 0;
+};
+
 /// Output of Phase II (cell graph construction, Alg. 3) across all
 /// partitions.
-struct Phase2Result {
+struct Phase2Result : Phase2Counters {
   /// One local cell subgraph per partition.
   std::vector<CellSubgraph> subgraphs;
   /// Per-point core flag (indexed by point id), set by the owning
@@ -88,33 +111,10 @@ struct Phase2Result {
   /// Wall seconds spent by each partition's task — the per-split numbers
   /// behind the paper's load-imbalance metric (Fig. 13).
   std::vector<double> task_seconds;
-  /// Sub-dictionaries inspected / total sub-dictionary visits possible,
-  /// summed over all region queries (Lemma 5.10 effectiveness). The
-  /// per-point path issues one query per point; the batched kernel issues
-  /// one per cell, so its ratio is over cell-level traversals.
-  size_t subdict_visited = 0;
-  size_t subdict_possible = 0;
-  /// Batched kernel only: per-point evaluations of "maybe" candidate
-  /// cells (the flat-scan work the kernel actually did), and the number
-  /// of points proven core before exhausting their candidate list.
-  size_t candidate_cells_scanned = 0;
-  size_t early_exits = 0;
-  /// Stencil engine only: neighborhood entries walked (per cell at most
-  /// num_offsets + 1, including the source cell itself; a function of the
-  /// lattice only) and entries that resolved to a dictionary cell. On the
-  /// precomputed-neighborhood path (source cell present in the
-  /// dictionary, always true in the pipeline) only present cells are
-  /// stored, so the two counters are equal; they diverge only on the
-  /// hash-probing fallback for absent source coordinates.
-  size_t stencil_probes = 0;
-  size_t stencil_hits = 0;
   /// Kernel dispatch actually used: the SIMD tier of the sub-cell
   /// kernels and whether the quantized fixed-point path was active.
   SimdLevel simd_level = SimdLevel::kScalar;
   bool quantized = false;
-  /// Quantized path only: sub-cell evaluations that fell inside the
-  /// quantization error band and took the exact-float fallback.
-  size_t quantized_exact_fallbacks = 0;
 };
 
 /// Bounding box of cell `coord`'s points derived from the dictionary's own
@@ -140,8 +140,9 @@ Phase2Result BuildSubgraphs(const Dataset& data, const CellSet& cells,
                             const Phase2Options& opts = Phase2Options());
 
 /// Output of RecomputeCells: Phase II results for just the target cells,
-/// arrays parallel to the `targets` argument.
-struct Phase2CellUpdate {
+/// arrays parallel to the `targets` argument; the counters cover the
+/// targets only.
+struct Phase2CellUpdate : Phase2Counters {
   /// cell_is_core[t] is the recomputed core flag of targets[t].
   std::vector<uint8_t> cell_is_core;
   /// cell_edges[t] is targets[t]'s recomputed neighbor-cell list, sorted
@@ -151,16 +152,6 @@ struct Phase2CellUpdate {
   std::vector<std::vector<uint32_t>> cell_edges;
   /// Total points of the target cells (their core flags were recomputed).
   size_t recomputed_points = 0;
-  /// Same per-run counters as Phase2Result, over the targets only.
-  size_t subdict_visited = 0;
-  size_t subdict_possible = 0;
-  size_t candidate_cells_scanned = 0;
-  size_t early_exits = 0;
-  size_t stencil_probes = 0;
-  size_t stencil_hits = 0;
-  SimdLevel simd_level = SimdLevel::kScalar;
-  bool quantized = false;
-  size_t quantized_exact_fallbacks = 0;
 };
 
 /// Re-runs the Phase II per-cell unit for exactly `targets` (dense cell

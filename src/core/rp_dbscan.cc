@@ -2,19 +2,15 @@
 
 #include <algorithm>
 #include <sstream>
-#include <thread>
 
 #include "core/cell_dictionary.h"
 #include "core/cell_set.h"
 #include "core/grid.h"
-#include "core/labeling.h"
-#include "core/merge.h"
-#include "core/phase2.h"
+#include "core/pipeline.h"
 #include "core/simd.h"
 #include "parallel/shard/shard_executor.h"
 #include "parallel/thread_pool.h"
 #include "util/json_writer.h"
-#include "util/random.h"
 #include "util/stopwatch.h"
 #include "verify/audit.h"
 
@@ -142,36 +138,17 @@ StatusOr<RpDbscanResult> RunRpDbscan(const Dataset& data,
   if (options.stencil_eps_scale < 1.0) {
     return Status::InvalidArgument("stencil_eps_scale must be >= 1");
   }
-  if (!(options.sampled_core_fraction > 0.0)) {
-    return Status::InvalidArgument("sampled_core_fraction must be > 0");
-  }
+  RPDBSCAN_RETURN_IF_ERROR(ValidateEngine(options));
   auto geom_or = GridGeometry::Create(data.dim(), options.eps, options.rho);
   if (!geom_or.ok()) return geom_or.status();
   const GridGeometry geom = *geom_or;
 
-  size_t num_threads = options.num_threads;
-  if (num_threads == 0) {
-    num_threads = std::thread::hardware_concurrency();
-    if (num_threads == 0) num_threads = 1;
-  }
-  size_t num_partitions = options.num_partitions;
-  if (num_partitions == 0) num_partitions = num_threads * 4;
-
-  ThreadPool pool(num_threads);
+  const PipelineResources res = ResolveResources(options);
+  ThreadPool pool(res.num_threads);
   RpDbscanResult result;
   RunStats& stats = result.stats;
   Stopwatch total;
-
-  // Per-stage invariant auditing: accumulate counts/time into the stats
-  // and fail the run on the first violated stage (later phases would only
-  // propagate the corruption).
-  const AuditLevel audit = options.audit_level;
-  auto apply_audit = [&stats](const char* stage,
-                              const AuditReport& rep) -> Status {
-    stats.audit_checks += rep.checks();
-    stats.audit_violations += rep.violations();
-    return rep.ToStatus(stage);
-  };
+  StageAuditor auditor(options.audit_level);
 
   // ---- Phase I-1: pseudo random partitioning (Sec. 4.1). In-RAM by
   // default; with a point_source the out-of-core external-sort build runs
@@ -180,8 +157,8 @@ StatusOr<RpDbscanResult> RunRpDbscan(const Dataset& data,
   Stopwatch phase_watch;
   StatusOr<CellSet> cells_or = [&]() -> StatusOr<CellSet> {
     if (options.point_source == nullptr) {
-      return CellSet::Build(data, geom, num_partitions, options.seed, &pool,
-                            options.sorted_phase1);
+      return CellSet::Build(data, geom, res.num_partitions, options.seed,
+                            &pool, options.sorted_phase1);
     }
     if (options.point_source->size() != data.size() ||
         options.point_source->dim() != data.dim()) {
@@ -193,8 +170,9 @@ StatusOr<RpDbscanResult> RunRpDbscan(const Dataset& data,
     ext_opts.spill_dir = options.spill_dir;
     ExternalBuildStats ext_stats;
     auto built =
-        CellSet::BuildExternal(*options.point_source, geom, num_partitions,
-                               options.seed, ext_opts, &pool, &ext_stats);
+        CellSet::BuildExternal(*options.point_source, geom,
+                               res.num_partitions, options.seed, ext_opts,
+                               &pool, &ext_stats);
     stats.external_phase1 = ext_stats.external_path_used;
     stats.external_chunks = ext_stats.chunks;
     stats.external_runs = ext_stats.runs;
@@ -209,28 +187,13 @@ StatusOr<RpDbscanResult> RunRpDbscan(const Dataset& data,
   stats.key_seconds = cells.breakdown().key_seconds;
   stats.sort_seconds = cells.breakdown().sort_seconds;
   stats.scatter_seconds = cells.breakdown().scatter_seconds;
-
-  if (audit != AuditLevel::kOff) {
-    Stopwatch audit_watch;
-    const AuditReport rep = AuditCellSet(data, cells, audit);
-    stats.audit_seconds += audit_watch.ElapsedSeconds();
-    RPDBSCAN_RETURN_IF_ERROR(apply_audit("cell-set", rep));
-  }
+  RPDBSCAN_RETURN_IF_ERROR(auditor.Run("cell-set", [&](AuditLevel l) {
+    return AuditCellSet(data, cells, l);
+  }));
 
   // ---- Phase I-2: two-level cell dictionary (Sec. 4.2). ----
   phase_watch.Reset();
-  CellDictionaryOptions dict_opts;
-  dict_opts.max_cells_per_subdict = options.max_cells_per_subdict;
-  dict_opts.defragment = options.defragment_dictionary;
-  dict_opts.enable_skipping = options.subdictionary_skipping;
-  dict_opts.index = options.use_rtree_index ? CandidateIndex::kRTree
-                                            : CandidateIndex::kKdTree;
-  // Stencil construction is only useful to the stencil engine; its size
-  // cap (and hence the high-dimensionality fallback) stays at the
-  // CellDictionaryOptions default.
-  dict_opts.build_stencil =
-      options.batched_queries && options.stencil_queries;
-  dict_opts.quantized = options.quantized;
+  CellDictionaryOptions dict_opts = RunDictionaryOptions(options);
   // Decoupled query radii need stencil headroom: enumerate the offset
   // family out to the largest radius this dictionary will be queried at,
   // so those queries reuse the neighborhood CSR as a class-filtered
@@ -240,16 +203,10 @@ StatusOr<RpDbscanResult> RunRpDbscan(const Dataset& data,
     dict_opts.stencil_eps_scale = std::max(dict_opts.stencil_eps_scale,
                                            options.query_eps / options.eps);
   }
-  // With the broadcast simulated, this side is the sender: it only
-  // encodes the dictionary, so it builds the layout the wire carries and
-  // leaves every query structure to the receiving side.
-  const DictionaryBuild sender_build = options.simulate_broadcast
-                                           ? DictionaryBuild::kWireOnly
-                                           : DictionaryBuild::kQueryable;
   StatusOr<CellDictionary> dict_or = [&]() -> StatusOr<CellDictionary> {
     if (options.shard_workers < 2) {
       return CellDictionary::Build(data, cells, dict_opts, &pool,
-                                   sender_build);
+                                   SenderBuild(options));
     }
     // Multi-process mode: forked workers each build their partitions'
     // entries and ship them back as checksummed shard containers; the
@@ -266,36 +223,24 @@ StatusOr<RpDbscanResult> RunRpDbscan(const Dataset& data,
       stats.shard_build_seconds = std::max(stats.shard_build_seconds, s);
     }
     return CellDictionary::FromEntries(geom, *entries_or, dict_opts, &pool,
-                                       sender_build);
+                                       SenderBuild(options));
   }();
   if (!dict_or.ok()) return dict_or.status();
   stats.dictionary_seconds = phase_watch.ElapsedSeconds();
 
   // Shard-boundary audit: the assembled dictionary must be byte-equal to
   // a single-process build — fork/encode/pipe/decode must be invisible.
-  if (options.shard_workers >= 2 && audit != AuditLevel::kOff) {
-    Stopwatch audit_watch;
-    const AuditReport rep =
-        AuditShardAssembly(data, cells, *dict_or, dict_opts, &pool);
-    stats.audit_seconds += audit_watch.ElapsedSeconds();
-    RPDBSCAN_RETURN_IF_ERROR(apply_audit("shard-assembly", rep));
+  if (options.shard_workers >= 2) {
+    RPDBSCAN_RETURN_IF_ERROR(auditor.Run("shard-assembly", [&](AuditLevel) {
+      return AuditShardAssembly(data, cells, *dict_or, dict_opts, &pool);
+    }));
   }
 
-  // Broadcast simulation (Alg. 1 line 5): serialize to the Lemma 4.3 wire
-  // layout and decode, as every Spark worker would; decoding builds the
-  // query structures Phase II runs on.
-  if (options.simulate_broadcast) {
-    phase_watch.Reset();
-    const std::vector<uint8_t> wire = dict_or->Serialize(&pool);
-    stats.broadcast_bytes = wire.size();
-    auto decoded = CellDictionary::Deserialize(wire, dict_opts, &pool);
-    if (!decoded.ok()) {
-      return Status::Internal("broadcast round-trip failed: " +
-                              decoded.status().message());
-    }
-    dict_or = std::move(decoded);
-    stats.broadcast_seconds = phase_watch.ElapsedSeconds();
-  }
+  // Broadcast simulation (Alg. 1 line 5): decoding builds the query
+  // structures Phase II runs on.
+  RPDBSCAN_RETURN_IF_ERROR(SimulateBroadcast(options, dict_opts, &pool,
+                                             &*dict_or, &stats.broadcast_bytes,
+                                             &stats.broadcast_seconds));
   const CellDictionary& dict = *dict_or;
   stats.num_cells = dict.num_cells();
   stats.num_subcells = dict.num_subcells();
@@ -304,107 +249,49 @@ StatusOr<RpDbscanResult> RunRpDbscan(const Dataset& data,
 
   // Audits the dictionary Phase II will actually query — after the
   // broadcast round-trip, so the wire codec is covered too.
-  if (audit != AuditLevel::kOff) {
-    Stopwatch audit_watch;
-    const AuditReport rep = AuditDictionary(data, cells, dict, audit);
-    stats.audit_seconds += audit_watch.ElapsedSeconds();
-    RPDBSCAN_RETURN_IF_ERROR(apply_audit("dictionary", rep));
-  }
+  RPDBSCAN_RETURN_IF_ERROR(auditor.Run("dictionary", [&](AuditLevel l) {
+    return AuditDictionary(data, cells, dict, l);
+  }));
 
   // ---- Phase II: core marking + cell subgraph building (Sec. 5). ----
   phase_watch.Reset();
-  Phase2Options phase2_opts;
-  phase2_opts.batched_queries = options.batched_queries;
-  phase2_opts.stencil_queries = options.stencil_queries;
-  phase2_opts.scalar_kernels = options.scalar_kernels;
-  phase2_opts.quantized = options.quantized;
+  Phase2Options phase2_opts = EnginePhase2Options(options);
   phase2_opts.query_eps = options.query_eps;
-  // Sampled-core mode (DBSCAN++-style): keep a deterministic fraction of
-  // cells as core candidates, chosen by hashing the cell coordinate with
-  // the sample seed — the same cell is kept at every ladder level, which
-  // preserves core-set monotonicity across levels. fraction >= 1 keeps the
-  // exact run with no mask at all.
-  std::vector<uint8_t> core_mask;
-  if (options.sampled_core_fraction < 1.0) {
-    const uint64_t threshold = static_cast<uint64_t>(
-        options.sampled_core_fraction * 18446744073709551616.0);
-    core_mask.resize(cells.num_cells());
-    for (uint32_t cid = 0; cid < cells.num_cells(); ++cid) {
-      const uint64_t h =
-          Mix64(cells.cell(cid).coord.hash() ^ options.core_sample_seed);
-      core_mask[cid] = h < threshold ? 1 : 0;
-    }
-    phase2_opts.core_cell_mask = core_mask.data();
-  }
+  const std::vector<uint8_t> core_mask = SampledCoreMask(cells, options);
+  if (!core_mask.empty()) phase2_opts.core_cell_mask = core_mask.data();
   Phase2Result phase2 =
       BuildSubgraphs(data, cells, dict, options.min_pts, pool, phase2_opts);
   stats.phase2_seconds = phase_watch.ElapsedSeconds();
   stats.simd_kernel = SimdLevelName(phase2.simd_level);
   stats.quantized_mode = phase2.quantized;
-  stats.quantized_exact_fallbacks = phase2.quantized_exact_fallbacks;
   stats.phase2_task_seconds = phase2.task_seconds;
-  stats.subdict_visited = phase2.subdict_visited;
-  stats.subdict_possible = phase2.subdict_possible;
-  stats.candidate_cells_scanned = phase2.candidate_cells_scanned;
-  stats.early_exits = phase2.early_exits;
-  stats.stencil_probes = phase2.stencil_probes;
-  stats.stencil_hits = phase2.stencil_hits;
+  static_cast<Phase2Counters&>(stats) = phase2;
   for (const uint8_t c : phase2.cell_is_core) {
     stats.num_core_cells += c;
   }
 
-  // The cell-graph and label audits recompute densities at the geometry
-  // eps and with exact cores, so they only apply to the classic coupled,
-  // unsampled run.
-  const bool classic_semantics =
-      options.query_eps == 0.0 && phase2_opts.core_cell_mask == nullptr;
-
-  // Must run before MergeSubgraphs consumes the subgraphs.
-  if (audit != AuditLevel::kOff && classic_semantics) {
-    Stopwatch audit_watch;
-    const AuditReport rep = AuditCellGraph(data, cells, phase2, audit);
-    stats.audit_seconds += audit_watch.ElapsedSeconds();
-    RPDBSCAN_RETURN_IF_ERROR(apply_audit("cell-graph", rep));
-  }
-
-  // ---- Phase III-1: progressive graph merging (Sec. 6.1). ----
-  phase_watch.Reset();
-  MergeOptions merge_opts;
-  merge_opts.reduce_edges = options.reduce_edges;
-  merge_opts.pool = &pool;
-  merge_opts.parallel_unions = !options.sequential_merge;
-  stats.parallel_merge = merge_opts.parallel_unions;
-  MergeResult merged = MergeSubgraphs(std::move(phase2.subgraphs),
-                                      cells.num_cells(), merge_opts);
-  stats.merge_seconds = phase_watch.ElapsedSeconds();
-  stats.edges_per_round = merged.edges_per_round;
-  stats.num_clusters = merged.num_clusters;
-
-  if (audit != AuditLevel::kOff) {
-    Stopwatch audit_watch;
-    const AuditReport rep =
-        AuditMergeForest(phase2.cell_is_core, merged, audit);
-    stats.audit_seconds += audit_watch.ElapsedSeconds();
-    RPDBSCAN_RETURN_IF_ERROR(apply_audit("merge-forest", rep));
-  }
-
-  // ---- Phase III-2: point labeling (Sec. 6.2). ----
-  phase_watch.Reset();
-  result.labels = LabelPoints(data, cells, merged, phase2.point_is_core,
-                              pool, options.query_eps);
-  stats.label_seconds = phase_watch.ElapsedSeconds();
-  for (const int64_t l : result.labels) {
-    if (l == kNoise) ++stats.num_noise_points;
-  }
-
-  if (audit != AuditLevel::kOff && classic_semantics) {
-    Stopwatch audit_watch;
-    const AuditReport rep =
-        AuditLabels(data, cells, merged, phase2.point_is_core, result.labels,
-                    options.min_pts, audit, options.seed);
-    stats.audit_seconds += audit_watch.ElapsedSeconds();
-    RPDBSCAN_RETURN_IF_ERROR(apply_audit("labels", rep));
-  }
+  // ---- Phase III: merging and labeling (Sec. 6). ----
+  PhaseThreeOptions tail;
+  tail.min_pts = options.min_pts;
+  tail.query_eps = options.query_eps;
+  tail.classic = options.query_eps == 0.0 && core_mask.empty();
+  tail.audit_seed = options.seed;
+  tail.merge = EngineMergeOptions(options, &pool);
+  stats.parallel_merge = tail.merge.parallel_unions;
+  auto tail_or =
+      RunPhaseThree(data, cells, std::move(phase2.subgraphs),
+                    phase2.cell_is_core, phase2.point_is_core, tail, pool,
+                    auditor);
+  if (!tail_or.ok()) return tail_or.status();
+  stats.merge_seconds = tail_or->merge_seconds;
+  stats.label_seconds = tail_or->label_seconds;
+  stats.edges_per_round = tail_or->merged.edges_per_round;
+  stats.num_clusters = tail_or->merged.num_clusters;
+  stats.num_noise_points = tail_or->num_noise_points;
+  stats.audit_checks = auditor.checks;
+  stats.audit_violations = auditor.violations;
+  stats.audit_seconds = auditor.seconds;
+  result.labels = std::move(tail_or->labels);
 
   // ---- Model capture for the serving layer (src/serve/). Runs last, and
   // here rather than in a caller, because extracting the border references
@@ -412,8 +299,9 @@ StatusOr<RpDbscanResult> RunRpDbscan(const Dataset& data,
   // dictionary move must come after the final audit that reads it.
   if (options.capture_model) {
     result.model = std::make_shared<CapturedModel>(BuildCapturedModel(
-        data, cells, std::move(merged), std::move(phase2.point_is_core),
-        std::move(*dict_or), options.min_pts, options.query_eps));
+        data, cells, std::move(tail_or->merged),
+        std::move(phase2.point_is_core), std::move(*dict_or), options.min_pts,
+        options.query_eps));
   }
 
   stats.total_seconds = total.ElapsedSeconds();

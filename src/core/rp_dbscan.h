@@ -8,75 +8,22 @@
 #include <vector>
 
 #include "core/cell_dictionary.h"
+#include "core/engine_options.h"
 #include "core/merge.h"
+#include "core/phase2.h"
 #include "io/dataset.h"
 #include "util/status.h"
 #include "verify/audit.h"
 
 namespace rpdbscan {
 
-/// Parameters of RP-DBSCAN (Alg. 1 inputs plus engine knobs).
-struct RpDbscanOptions {
+/// Parameters of RP-DBSCAN (Alg. 1 inputs plus engine knobs). The engine
+/// knobs shared with the eps ladder and the stream live in EngineOptions.
+struct RpDbscanOptions : EngineOptions {
   /// DBSCAN neighborhood radius (also the cell diagonal, Def. 3.1).
   double eps = 0.0;
   /// DBSCAN density threshold. The paper fixes 100 in its evaluation.
   size_t min_pts = 100;
-  /// Approximation rate of the two-level dictionary (Def. 4.1). The
-  /// paper's default 0.01 yields clustering identical to exact DBSCAN on
-  /// its accuracy sets (Table 4).
-  double rho = 0.01;
-  /// Number of pseudo random partitions (the paper's k). 0 = auto: four
-  /// per worker thread.
-  size_t num_partitions = 0;
-  /// Worker threads standing in for cluster executors. 0 = hardware
-  /// concurrency.
-  size_t num_threads = 0;
-  /// Seed for the partition assignment.
-  uint64_t seed = 7;
-
-  /// Phase II query engine: batched per-cell (eps,rho)-region kernel
-  /// (one dictionary traversal per cell, flat candidate scan per point,
-  /// early exit at min_pts) vs the reference per-point Query path. Both
-  /// produce identical clustering; the toggle exists for ablation.
-  bool batched_queries = true;
-
-  /// Phase II candidate enumeration (only with batched_queries): lattice
-  /// stencil — O(1) hash probes of a dictionary-global cell index over a
-  /// precomputed eps-ball offset set — vs per-sub-dictionary tree descent
-  /// (Lemma 5.6). Automatically falls back to the tree path when the
-  /// stencil would exceed its size cap (dimensionality >= 6), mirroring
-  /// the sorted_phase1 fallback pattern. Identical clustering either way.
-  bool stencil_queries = true;
-
-  /// Phase I-1 engine: parallel sort-based CSR grouping (key encoding +
-  /// radix sort of (key, point_id) pairs + one CSR emit scan) vs the seed
-  /// hash-map scan. Both produce bit-identical cell sets (cells numbered
-  /// in first-encounter order, point ids ascending within a cell); the
-  /// toggle exists for ablation.
-  bool sorted_phase1 = true;
-
-  /// Force the scalar reference distance kernels in Phase II (and anything
-  /// downstream that inherits the dictionary), bypassing runtime SIMD
-  /// dispatch. Labels are bit-identical either way (the vector kernels are
-  /// exact); the toggle exists for ablation and for the equivalence tests.
-  /// The RPDBSCAN_FORCE_SCALAR environment variable forces the same thing
-  /// without recompiling or re-flagging.
-  bool scalar_kernels = false;
-
-  /// Quantized fixed-point candidate pre-filter: sub-cell centers carry
-  /// uint32 lattice offsets (eps * 2^-16 quantum) and the distance kernel
-  /// classifies most sub-cells with integer arithmetic, taking the exact
-  /// float path only when the quantization error band could flip the eps
-  /// comparison — so labels stay bit-identical to exact mode. Auto-disabled
-  /// (silently, reported in RunStats) when the data span per dimension
-  /// overflows the 32-bit lattice.
-  bool quantized = false;
-
-  /// Use the sequential tournament merge (Sec. 6.1.1) instead of the
-  /// edge-parallel lock-free union-find path. Labels and cluster ids are
-  /// bit-identical either way; flip this on to study the per-round edge
-  /// series (Fig. 17) or to ablate the parallel merge.
-  bool sequential_merge = false;
 
   // --- dictionary knobs (defaults follow the paper; ablations flip) ---
   size_t max_cells_per_subdict = 2048;
@@ -85,12 +32,6 @@ struct RpDbscanOptions {
   /// Use the R-tree instead of the kd-tree for candidate-cell lookup
   /// (Lemma 5.6 allows either; results are identical).
   bool use_rtree_index = false;
-  /// Round-trip the dictionary through its Lemma 4.3 wire format before
-  /// Phase II, as the Spark implementation broadcasts it to every worker
-  /// (Alg. 1 line 5). Measures the real broadcast payload size.
-  bool simulate_broadcast = true;
-  /// Spanning-forest full-edge reduction during merging (Sec. 6.1.4).
-  bool reduce_edges = true;
 
   /// Invariant auditing between phases (src/verify/audit.h): kOff runs no
   /// checks, kCheap structural scans, kFull per-point recomputation. Any
@@ -124,7 +65,7 @@ struct RpDbscanOptions {
   /// either way (audited when audit_level > kOff).
   size_t shard_workers = 0;
 
-  // --- multi-eps ladder & sampled-core knobs (src/hierarchy/) ---
+  // --- multi-eps ladder knobs (src/hierarchy/) ---
 
   /// Region-query radius decoupled from the cell geometry: the grid is
   /// still built with diagonal `eps`, but the core test, edge collection
@@ -139,16 +80,6 @@ struct RpDbscanOptions {
   /// prefix. Raised automatically to query_eps / eps when query_eps is
   /// set. 1 keeps the classic family (bit-identical offsets).
   double stencil_eps_scale = 1.0;
-  /// DBSCAN++-style sampled-core approximation: fraction of cells that
-  /// remain core candidates, chosen by a deterministic per-cell-coordinate
-  /// hash so the same cell is sampled at every ladder level (preserving
-  /// core-set monotonicity across levels). Points of unsampled cells can
-  /// still be labeled as border points of sampled neighbors. >= 1 (the
-  /// default) keeps the exact run — the ROADMAP's exact-fallback
-  /// requirement.
-  double sampled_core_fraction = 1.0;
-  /// Seed of the sampled-core cell hash.
-  uint64_t core_sample_seed = 0x9e3779b97f4a7c15ull;
 };
 
 /// The frozen artifacts of one finished run that out-of-sample label
@@ -181,8 +112,9 @@ struct CapturedModel {
 };
 
 /// Timing and structure statistics of one run — the observables every
-/// experiment in Sec. 7 is built from.
-struct RunStats {
+/// experiment in Sec. 7 is built from. The Phase II counters come from
+/// the Phase2Counters base, copied from the run's Phase2Result.
+struct RunStats : Phase2Counters {
   // Phase wall times (Fig. 12 / Fig. 21 breakdowns).
   double partition_seconds = 0;   // Phase I-1
   // Phase I-1 sub-breakdown (sorted CSR path; all ~0 on the hash path
@@ -220,20 +152,6 @@ struct RunStats {
   size_t num_core_cells = 0;
   size_t num_clusters = 0;
   size_t num_noise_points = 0;
-  /// Sub-dictionary visits actually performed / possible (Lemma 5.10).
-  size_t subdict_visited = 0;
-  size_t subdict_possible = 0;
-  /// Batched Phase II kernel counters (0 on the per-point path):
-  /// per-point candidate-cell evaluations, and points proven core before
-  /// their candidate list was exhausted.
-  size_t candidate_cells_scanned = 0;
-  size_t early_exits = 0;
-  /// Stencil engine counters (0 on the tree and per-point paths): lattice
-  /// hash probes issued during Phase II (offsets surviving the arithmetic
-  /// disjointness pre-drop, plus one self probe per cell) and probes that
-  /// found a cell.
-  size_t stencil_probes = 0;
-  size_t stencil_hits = 0;
 
   /// Invariant auditing (0 everywhere when audit_level = kOff): checks
   /// evaluated, checks violated (a successful run always reports 0 — any
@@ -247,10 +165,8 @@ struct RunStats {
   /// RPDBSCAN_FORCE_SCALAR / cpuid are all applied.
   std::string simd_kernel = "scalar";
   /// Whether the quantized fixed-point pre-filter was active (requested
-  /// and the lattice fit), and how many sub-cell lanes fell back to the
-  /// exact float compare because they landed in the error band.
+  /// and the lattice fit).
   bool quantized_mode = false;
-  size_t quantized_exact_fallbacks = 0;
   /// Whether Phase III-1 ran the edge-parallel lock-free union-find path
   /// (vs the sequential tournament).
   bool parallel_merge = false;

@@ -1,18 +1,13 @@
 #include "hierarchy/eps_ladder.h"
 
-#include <algorithm>
 #include <sstream>
-#include <thread>
 
 #include "core/cell_dictionary.h"
 #include "core/cell_set.h"
 #include "core/grid.h"
-#include "core/labeling.h"
 #include "core/lattice_stencil.h"
-#include "core/merge.h"
-#include "core/phase2.h"
+#include "core/pipeline.h"
 #include "parallel/thread_pool.h"
-#include "util/random.h"
 #include "util/stopwatch.h"
 
 namespace rpdbscan {
@@ -41,10 +36,7 @@ Status ValidateOptions(const HierarchyOptions& opts) {
   for (const size_t mp : opts.min_pts_levels) {
     if (mp == 0) return Status::InvalidArgument("min_pts must be >= 1");
   }
-  if (!(opts.sampled_core_fraction > 0.0)) {
-    return Status::InvalidArgument("sampled_core_fraction must be > 0");
-  }
-  return Status::OK();
+  return ValidateEngine(opts);
 }
 
 /// parent[c] of each level-i cluster: the next-level cluster of its first
@@ -131,21 +123,15 @@ StatusOr<ClusterHierarchy> BuildClusterHierarchy(
   if (!geom_or.ok()) return geom_or.status();
   const GridGeometry geom = *geom_or;
 
-  size_t num_threads = options.num_threads;
-  if (num_threads == 0) {
-    num_threads = std::thread::hardware_concurrency();
-    if (num_threads == 0) num_threads = 1;
-  }
-  size_t num_partitions = options.num_partitions;
-  if (num_partitions == 0) num_partitions = num_threads * 4;
-  ThreadPool pool(num_threads);
+  const PipelineResources res = ResolveResources(options);
+  ThreadPool pool(res.num_threads);
 
   ClusterHierarchy hierarchy;
   Stopwatch total;
 
   // ---- Shared Phase I-1: one grid, one cell set for every rung. ----
   Stopwatch phase_watch;
-  auto cells_or = CellSet::Build(data, geom, num_partitions, options.seed,
+  auto cells_or = CellSet::Build(data, geom, res.num_partitions, options.seed,
                                  &pool, options.sorted_phase1);
   if (!cells_or.ok()) return cells_or.status();
   const CellSet& cells = *cells_or;
@@ -158,49 +144,22 @@ StatusOr<ClusterHierarchy> BuildClusterHierarchy(
   // computed with the same division Phase II derives each level's budget
   // with, so the top level compares against exactly its own budget. ----
   phase_watch.Reset();
-  CellDictionaryOptions dict_opts;
-  dict_opts.build_stencil =
-      options.batched_queries && options.stencil_queries;
-  dict_opts.quantized = options.quantized;
+  CellDictionaryOptions dict_opts = EngineDictionaryOptions(options);
   dict_opts.stencil_eps_scale = options.eps_levels.back() / eps0;
-  // A broadcast sender only encodes: it builds the wire layout alone.
-  auto dict_or = CellDictionary::Build(
-      data, cells, dict_opts, &pool,
-      options.simulate_broadcast ? DictionaryBuild::kWireOnly
-                                 : DictionaryBuild::kQueryable);
+  auto dict_or = CellDictionary::Build(data, cells, dict_opts, &pool,
+                                       SenderBuild(options));
   if (!dict_or.ok()) return dict_or.status();
   hierarchy.dictionary_seconds = phase_watch.ElapsedSeconds();
 
   // One broadcast round-trip covers every rung — an independent run pays
   // this per (eps, min_pts) setting.
-  if (options.simulate_broadcast) {
-    phase_watch.Reset();
-    const std::vector<uint8_t> wire = dict_or->Serialize(&pool);
-    auto decoded = CellDictionary::Deserialize(wire, dict_opts, &pool);
-    if (!decoded.ok()) {
-      return Status::Internal("broadcast round-trip failed: " +
-                              decoded.status().message());
-    }
-    dict_or = std::move(decoded);
-    hierarchy.broadcast_seconds = phase_watch.ElapsedSeconds();
-  }
+  RPDBSCAN_RETURN_IF_ERROR(SimulateBroadcast(options, dict_opts, &pool,
+                                             &*dict_or, /*bytes=*/nullptr,
+                                             &hierarchy.broadcast_seconds));
   const CellDictionary& dict = *dict_or;
   hierarchy.dictionary_bytes = dict.SizeBytesLemma43();
 
-  // Sampled-core mask, hashed from cell coordinates so the same cells are
-  // kept at every rung — which is what keeps the core set monotone across
-  // levels under sampling.
-  std::vector<uint8_t> core_mask;
-  if (options.sampled_core_fraction < 1.0) {
-    const uint64_t threshold = static_cast<uint64_t>(
-        options.sampled_core_fraction * 18446744073709551616.0);
-    core_mask.resize(cells.num_cells());
-    for (uint32_t cid = 0; cid < cells.num_cells(); ++cid) {
-      const uint64_t h =
-          Mix64(cells.cell(cid).coord.hash() ^ options.core_sample_seed);
-      core_mask[cid] = h < threshold ? 1 : 0;
-    }
-  }
+  const std::vector<uint8_t> core_mask = SampledCoreMask(cells, options);
 
   // Per-level stencils for the hashed-probe reference engine: each level
   // probes exactly its own class prefix.
@@ -215,6 +174,7 @@ StatusOr<ClusterHierarchy> BuildClusterHierarchy(
   }
 
   // ---- Per rung: Phase II seeded from the rung below, Phase III. ----
+  StageAuditor no_audit;  // the ladder runs no audits
   hierarchy.levels.resize(num_levels);
   std::vector<uint8_t> prev_core;  // previous rung's per-point core flags
   size_t prev_min_pts = 0;
@@ -223,11 +183,7 @@ StatusOr<ClusterHierarchy> BuildClusterHierarchy(
     level.eps = options.eps_levels[i];
     level.min_pts = min_pts_of(i);
 
-    Phase2Options phase2_opts;
-    phase2_opts.batched_queries = options.batched_queries;
-    phase2_opts.stencil_queries = options.stencil_queries;
-    phase2_opts.scalar_kernels = options.scalar_kernels;
-    phase2_opts.quantized = options.quantized;
+    Phase2Options phase2_opts = EnginePhase2Options(options);
     phase2_opts.query_eps = level.eps;
     phase2_opts.force_probe = options.force_probe;
     if (i < level_stencils.size()) {
@@ -247,23 +203,20 @@ StatusOr<ClusterHierarchy> BuildClusterHierarchy(
     level.phase2_seconds = level_watch.ElapsedSeconds();
     for (const uint8_t c : phase2.cell_is_core) level.num_core_cells += c;
 
-    level_watch.Reset();
-    MergeOptions merge_opts;
-    merge_opts.reduce_edges = options.reduce_edges;
-    merge_opts.pool = &pool;
-    merge_opts.parallel_unions = !options.sequential_merge;
-    MergeResult merged = MergeSubgraphs(std::move(phase2.subgraphs),
-                                        cells.num_cells(), merge_opts);
-    level.merge_seconds = level_watch.ElapsedSeconds();
-    level.num_clusters = merged.num_clusters;
-
-    level_watch.Reset();
-    level.labels = LabelPoints(data, cells, merged, phase2.point_is_core,
-                               pool, level.eps);
-    level.label_seconds = level_watch.ElapsedSeconds();
-    for (const int64_t l : level.labels) {
-      if (l == kNoise) ++level.num_noise_points;
-    }
+    PhaseThreeOptions tail;
+    tail.min_pts = level.min_pts;
+    tail.query_eps = level.eps;
+    tail.merge = EngineMergeOptions(options, &pool);
+    auto tail_or =
+        RunPhaseThree(data, cells, std::move(phase2.subgraphs),
+                      phase2.cell_is_core, phase2.point_is_core, tail, pool,
+                      no_audit);
+    if (!tail_or.ok()) return tail_or.status();
+    level.merge_seconds = tail_or->merge_seconds;
+    level.label_seconds = tail_or->label_seconds;
+    level.num_clusters = tail_or->merged.num_clusters;
+    level.num_noise_points = tail_or->num_noise_points;
+    level.labels = std::move(tail_or->labels);
 
     if (options.capture_models) {
       // Each captured model owns its dictionary; CellDictionary's spatial
@@ -274,14 +227,13 @@ StatusOr<ClusterHierarchy> BuildClusterHierarchy(
       // load-time rebuild exactly.
       CellDictionaryOptions level_dict_opts = dict_opts;
       level_dict_opts.stencil_eps_scale = level.eps / eps0;
-      auto own_dict = CellDictionary::Deserialize(dict.Serialize(&pool),
-                                                  level_dict_opts, &pool);
+      auto own_dict = RoundTripDictionary(dict, level_dict_opts, &pool);
       if (!own_dict.ok()) {
         return Status::Internal("dictionary clone failed: " +
                                 own_dict.status().message());
       }
       level.model = std::make_shared<CapturedModel>(BuildCapturedModel(
-          data, cells, std::move(merged), phase2.point_is_core,
+          data, cells, std::move(tail_or->merged), phase2.point_is_core,
           std::move(*own_dict), level.min_pts, level.eps));
     }
     prev_core = std::move(phase2.point_is_core);

@@ -51,9 +51,10 @@ struct HierarchyLevel {
   std::shared_ptr<CapturedModel> model;
 };
 
-/// Knobs of the multi-eps sweep. Engine toggles mirror RpDbscanOptions —
-/// every level runs the same engines an independent run would.
-struct HierarchyOptions {
+/// Knobs of the multi-eps sweep. The engine knobs come from EngineOptions,
+/// so every level runs the same engines an independent run would; the
+/// sampled-core approximation applies identically at every level.
+struct HierarchyOptions : EngineOptions {
   /// Query radii of the rungs, strictly ascending; eps_levels[0] is also
   /// the cell-diagonal the shared grid is built at.
   std::vector<double> eps_levels;
@@ -62,18 +63,6 @@ struct HierarchyOptions {
   /// the core-set monotone so each level seeds from the previous one;
   /// an increasing step just disables seeding for that level.
   std::vector<size_t> min_pts_levels;
-  double rho = 0.01;
-  size_t num_partitions = 0;
-  size_t num_threads = 0;
-  uint64_t seed = 7;
-  bool batched_queries = true;
-  bool stencil_queries = true;
-  bool sorted_phase1 = true;
-  bool scalar_kernels = false;
-  bool quantized = false;
-  bool sequential_merge = false;
-  bool simulate_broadcast = true;
-  bool reduce_edges = true;
   /// Force the hashed-probe candidate enumeration at every level instead
   /// of the neighborhood-CSR prefix reuse (the reference engine of the
   /// prefix-reuse equivalence tests).
@@ -82,10 +71,6 @@ struct HierarchyOptions {
   /// (skipped automatically when a level's min_pts rises). Off re-counts
   /// every point at every level — the ablation baseline.
   bool seed_from_previous = true;
-  /// DBSCAN++-style sampled-core approximation, applied identically at
-  /// every level (RpDbscanOptions::sampled_core_fraction semantics).
-  double sampled_core_fraction = 1.0;
-  uint64_t core_sample_seed = 0x9e3779b97f4a7c15ull;
   /// Capture a CapturedModel per level for the serving layer.
   bool capture_models = false;
 };

@@ -1,7 +1,6 @@
 #include "serve/label_server.h"
 
 #include <array>
-#include <cmath>
 #include <cstring>
 #include <string>
 #include <thread>
@@ -33,21 +32,22 @@ constexpr size_t kLatencyCapacity = size_t{1} << 16;
 /// cursor cold without unbalancing the tail.
 constexpr size_t kGroupChunk = 16;
 
-/// InvalidArgument naming the first query (in batch order) with a NaN or
-/// infinite coordinate, OK when every coordinate is finite. A non-finite
-/// coordinate would reach the float-to-int cast of the home-cell binning,
-/// which is undefined. One pass over the batch's floats.
-Status CheckFiniteQueries(const Dataset& queries) {
-  const float* v = queries.raw();
-  const size_t n = queries.size() * queries.dim();
-  for (size_t i = 0; i < n; ++i) {
-    if (!std::isfinite(v[i])) {
-      return Status::InvalidArgument(
-          "serve batch: query " + std::to_string(i / queries.dim()) +
-          " dimension " + std::to_string(i % queries.dim()) +
-          ": coordinate is not finite");
-    }
+/// The check both batch entry points run before any work: the batch's
+/// dimensionality must match the snapshot's, and every coordinate must be
+/// finite and bin inside the snapshot's int32 cell lattice
+/// (GridGeometry::CheckPoints), else the home-cell binning would overflow.
+/// InvalidArgument names the first offending query in batch order. Runs
+/// serially: one pass over the batch's floats.
+Status CheckQueries(const GridGeometry& geom, const Dataset& queries) {
+  if (queries.dim() != geom.dim()) {
+    return Status::InvalidArgument(
+        "serve batch: query dimensionality " +
+        std::to_string(queries.dim()) + " does not match the snapshot's " +
+        std::to_string(geom.dim()));
   }
+  const Status s = geom.CheckPoints(queries.raw(), queries.size(),
+                                    /*first_id=*/0, /*pool=*/nullptr, "query");
+  if (!s.ok()) return Status::InvalidArgument("serve batch: " + s.message());
   return Status::OK();
 }
 
@@ -652,14 +652,8 @@ Status LabelServer::ClassifyBatch(const Dataset& queries, ThreadPool& pool,
                                   std::vector<ServeResult>* out,
                                   ServeStats* stats,
                                   LatencyReservoir* latency) const {
-  const size_t dim = snapshot_->meta().dim;
-  if (queries.dim() != dim) {
-    return Status::InvalidArgument(
-        "serve batch: query dimensionality " +
-        std::to_string(queries.dim()) + " does not match the snapshot's " +
-        std::to_string(dim));
-  }
-  RPDBSCAN_RETURN_IF_ERROR(CheckFiniteQueries(queries));
+  RPDBSCAN_RETURN_IF_ERROR(
+      CheckQueries(snapshot_->dictionary().geom(), queries));
   // The grouped path needs the precomputed stencil neighborhoods and
   // 32-bit (slot | index) keys; anything else takes the per-query path
   // (bit-identical results either way).
@@ -675,14 +669,8 @@ Status LabelServer::ClassifyEach(const Dataset& queries, ThreadPool& pool,
                                  std::vector<ServeResult>* out,
                                  ServeStats* stats,
                                  LatencyReservoir* latency) const {
-  const size_t dim = snapshot_->meta().dim;
-  if (queries.dim() != dim) {
-    return Status::InvalidArgument(
-        "serve batch: query dimensionality " +
-        std::to_string(queries.dim()) + " does not match the snapshot's " +
-        std::to_string(dim));
-  }
-  RPDBSCAN_RETURN_IF_ERROR(CheckFiniteQueries(queries));
+  RPDBSCAN_RETURN_IF_ERROR(
+      CheckQueries(snapshot_->dictionary().geom(), queries));
   return ClassifyPerQuery(queries, pool, out, stats, latency);
 }
 

@@ -1,50 +1,18 @@
 #include "stream/incremental.h"
 
-#include <algorithm>
-#include <thread>
 #include <utility>
 
-#include "core/labeling.h"
-#include "core/merge.h"
-#include "core/phase2.h"
+#include "core/pipeline.h"
 #include "parallel/parallel_for.h"
 #include "stream/dirty_set.h"
 #include "util/stopwatch.h"
 #include "verify/audit.h"
 
 namespace rpdbscan {
-namespace {
 
-/// The RunRpDbscan option mappings, duplicated here so an epoch runs the
-/// exact engines a from-scratch run with the same options would.
-CellDictionaryOptions DictOptionsOf(const RpDbscanOptions& options) {
-  CellDictionaryOptions dict_opts;
-  dict_opts.max_cells_per_subdict = options.max_cells_per_subdict;
-  dict_opts.defragment = options.defragment_dictionary;
-  dict_opts.enable_skipping = options.subdictionary_skipping;
-  dict_opts.index = options.use_rtree_index ? CandidateIndex::kRTree
-                                            : CandidateIndex::kKdTree;
-  dict_opts.build_stencil =
-      options.batched_queries && options.stencil_queries;
-  dict_opts.quantized = options.quantized;
-  return dict_opts;
-}
-
-Phase2Options Phase2OptionsOf(const RpDbscanOptions& options) {
-  Phase2Options phase2_opts;
-  phase2_opts.batched_queries = options.batched_queries;
-  phase2_opts.stencil_queries = options.stencil_queries;
-  phase2_opts.scalar_kernels = options.scalar_kernels;
-  phase2_opts.quantized = options.quantized;
-  return phase2_opts;
-}
-
-}  // namespace
-
-StreamClusterer::StreamClusterer(RpDbscanOptions options, size_t num_threads,
-                                 IngestBuffer buffer)
+StreamClusterer::StreamClusterer(RpDbscanOptions options, IngestBuffer buffer)
     : options_(std::move(options)),
-      pool_(std::make_unique<ThreadPool>(num_threads)),
+      pool_(std::make_unique<ThreadPool>(options_.num_threads)),
       buffer_(std::move(buffer)) {}
 
 StatusOr<StreamClusterer> StreamClusterer::Create(
@@ -55,29 +23,35 @@ StatusOr<StreamClusterer> StreamClusterer::Create(
   if (seed_batch.empty()) {
     return Status::InvalidArgument("seed batch is empty");
   }
+  // An epoch splices per-cell results computed at the geometry eps with
+  // exact cores; a decoupled radius or a sampled core set would silently
+  // change the labels, so they are refused rather than dropped.
+  if (options.query_eps != 0.0) {
+    return Status::InvalidArgument(
+        "the stream cannot reproduce query_eps; leave it 0");
+  }
+  if (options.sampled_core_fraction < 1.0) {
+    return Status::InvalidArgument(
+        "the stream cannot reproduce sampled_core_fraction < 1");
+  }
   auto geom_or =
       GridGeometry::Create(seed_batch.dim(), options.eps, options.rho);
   if (!geom_or.ok()) return geom_or.status();
 
-  // The RunRpDbscan thread/partition resolution, fixed at stream start so
-  // every epoch draws the same partition split a from-scratch run would.
-  size_t num_threads = options.num_threads;
-  if (num_threads == 0) {
-    num_threads = std::thread::hardware_concurrency();
-    if (num_threads == 0) num_threads = 1;
-  }
+  // Resolved at stream start so every epoch draws the same partition
+  // split a from-scratch run would.
+  const PipelineResources res = ResolveResources(options);
   RpDbscanOptions resolved = options;
-  resolved.num_threads = num_threads;
-  if (resolved.num_partitions == 0) resolved.num_partitions = num_threads * 4;
+  resolved.num_threads = res.num_threads;
+  resolved.num_partitions = res.num_partitions;
 
-  ThreadPool build_pool(num_threads);
+  ThreadPool build_pool(res.num_threads);
   auto buffer_or =
       IngestBuffer::Create(std::move(seed_batch), *geom_or,
                            resolved.num_partitions, resolved.seed,
                            &build_pool, resolved.sorted_phase1);
   if (!buffer_or.ok()) return buffer_or.status();
-  return StreamClusterer(std::move(resolved), num_threads,
-                         std::move(*buffer_or));
+  return StreamClusterer(std::move(resolved), std::move(*buffer_or));
 }
 
 Status StreamClusterer::Ingest(const Dataset& batch) {
@@ -91,7 +65,7 @@ StatusOr<EpochResult> StreamClusterer::PublishEpoch() {
   const CellSet& cells = buffer_.cells();
   const GridGeometry& geom = cells.geom();
   const size_t num_cells = cells.num_cells();
-  const AuditLevel audit = options_.audit_level;
+  StageAuditor auditor(options_.audit_level, "stream ");
 
   EpochStats stats;
   stats.sequence = sequence_;
@@ -103,10 +77,9 @@ StatusOr<EpochResult> StreamClusterer::PublishEpoch() {
   const std::vector<uint32_t> touched = buffer_.TakeTouched();
   stats.touched_cells = touched.size();
 
-  if (audit != AuditLevel::kOff) {
-    RPDBSCAN_RETURN_IF_ERROR(
-        AuditCellSet(data, cells, audit).ToStatus("stream cell-set"));
-  }
+  RPDBSCAN_RETURN_IF_ERROR(auditor.Run("cell-set", [&](AuditLevel l) {
+    return AuditCellSet(data, cells, l);
+  }));
 
   // ---- Sub-cell assembly, touched cells only. A cell's dictionary entry
   // is a pure function of its point list, so untouched entries carry over
@@ -123,16 +96,13 @@ StatusOr<EpochResult> StreamClusterer::PublishEpoch() {
           CellDictionary::MakeCellEntry(data, geom, cells.cell(cid), cid);
     });
   }
-  auto dict_or = CellDictionary::FromEntries(geom, entries_,
-                                             DictOptionsOf(options_), &pool);
+  const CellDictionaryOptions dict_opts = RunDictionaryOptions(options_);
+  auto dict_or = CellDictionary::FromEntries(geom, entries_, dict_opts, &pool);
   if (!dict_or.ok()) return dict_or.status();
   const CellDictionary& dict = *dict_or;
-
-  if (audit != AuditLevel::kOff) {
-    RPDBSCAN_RETURN_IF_ERROR(
-        AuditDictionary(data, cells, dict, audit)
-            .ToStatus("stream dictionary"));
-  }
+  RPDBSCAN_RETURN_IF_ERROR(auditor.Run("dictionary", [&](AuditLevel l) {
+    return AuditDictionary(data, cells, dict, l);
+  }));
 
   // ---- Dirty closure + Phase II recompute, dirty cells only. ----
   const DirtySet dirty = DirtySetTracker::Resolve(dict, cells, touched);
@@ -144,7 +114,7 @@ StatusOr<EpochResult> StreamClusterer::PublishEpoch() {
   cell_edges_.resize(num_cells);
   Phase2CellUpdate update =
       RecomputeCells(data, cells, dict, options_.min_pts, pool,
-                     Phase2OptionsOf(options_), dirty.cells,
+                     EnginePhase2Options(options_), dirty.cells,
                      point_is_core_.data());
   stats.reclustered_points = update.recomputed_points;
   for (size_t t = 0; t < dirty.cells.size(); ++t) {
@@ -174,49 +144,24 @@ StatusOr<EpochResult> StreamClusterer::PublishEpoch() {
     }
   }
 
-  if (audit != AuditLevel::kOff) {
-    Phase2Result shim;
-    shim.subgraphs = subgraphs;
-    shim.point_is_core = point_is_core_;
-    shim.cell_is_core = cell_is_core_;
-    RPDBSCAN_RETURN_IF_ERROR(
-        AuditCellGraph(data, cells, shim, audit)
-            .ToStatus("stream cell-graph"));
-  }
-
   // ---- Merge + label over the full (spliced) graph. ----
-  MergeOptions merge_opts;
-  merge_opts.reduce_edges = options_.reduce_edges;
-  merge_opts.pool = &pool;
-  merge_opts.parallel_unions = !options_.sequential_merge;
-  MergeResult merged =
-      MergeSubgraphs(std::move(subgraphs), num_cells, merge_opts);
-  stats.num_clusters = merged.num_clusters;
-
-  if (audit != AuditLevel::kOff) {
-    RPDBSCAN_RETURN_IF_ERROR(
-        AuditMergeForest(cell_is_core_, merged, audit)
-            .ToStatus("stream merge-forest"));
-  }
-
-  Labels labels = LabelPoints(data, cells, merged, point_is_core_, pool);
-  for (const int64_t l : labels) {
-    if (l == kNoise) ++stats.num_noise_points;
-  }
-
-  if (audit != AuditLevel::kOff) {
-    RPDBSCAN_RETURN_IF_ERROR(
-        AuditLabels(data, cells, merged, point_is_core_, labels,
-                    options_.min_pts, audit, options_.seed)
-            .ToStatus("stream labels"));
-  }
+  PhaseThreeOptions tail;
+  tail.min_pts = options_.min_pts;
+  tail.audit_seed = options_.seed;
+  tail.merge = EngineMergeOptions(options_, &pool);
+  auto tail_or = RunPhaseThree(data, cells, std::move(subgraphs),
+                               cell_is_core_, point_is_core_, tail, pool,
+                               auditor);
+  if (!tail_or.ok()) return tail_or.status();
+  stats.num_clusters = tail_or->merged.num_clusters;
+  stats.num_noise_points = tail_or->num_noise_points;
 
   // ---- Package as a snapshot with epoch lineage. ----
   CapturedModel model = BuildCapturedModel(
-      data, cells, std::move(merged), point_is_core_, std::move(*dict_or),
-      options_.min_pts);
+      data, cells, std::move(tail_or->merged), point_is_core_,
+      std::move(*dict_or), options_.min_pts);
   SnapshotOptions snap_opts;
-  snap_opts.dict_opts = DictOptionsOf(options_);
+  snap_opts.dict_opts = dict_opts;
   auto snap_or = ClusterModelSnapshot::FromModel(std::move(model), snap_opts);
   if (!snap_or.ok()) return snap_or.status();
   ClusterModelSnapshot::EpochInfo info;
@@ -228,7 +173,7 @@ StatusOr<EpochResult> StreamClusterer::PublishEpoch() {
 
   ++sequence_;
   stats.epoch_publish_seconds = watch.ElapsedSeconds();
-  return EpochResult{std::move(*snap_or), std::move(labels), stats};
+  return EpochResult{std::move(*snap_or), std::move(tail_or->labels), stats};
 }
 
 }  // namespace rpdbscan

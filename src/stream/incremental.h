@@ -63,9 +63,13 @@ class StreamClusterer {
   /// Seeds the stream with `seed_batch` (epoch 0 recomputes everything —
   /// it flows through the same incremental code path with all cells
   /// touched). `options` are the RunRpDbscan options each epoch must be
-  /// equivalent to; capture_model is implied and simulate_broadcast is
-  /// ignored (the dictionary wire codec round-trip changes no structure —
-  /// the broadcast is a no-op on one machine).
+  /// equivalent to. capture_model is implied. Options that only change how
+  /// a from-scratch run executes are ignored, since they cannot change the
+  /// labels: simulate_broadcast (the wire codec round-trip changes no
+  /// structure), point_source, memory_budget_bytes, spill_dir,
+  /// shard_workers, and stencil_eps_scale (headroom only decoupled radii
+  /// use). Options an epoch cannot reproduce are rejected with
+  /// InvalidArgument: query_eps != 0 and sampled_core_fraction < 1.
   static StatusOr<StreamClusterer> Create(Dataset seed_batch,
                                           const RpDbscanOptions& options);
 
@@ -89,8 +93,7 @@ class StreamClusterer {
   ThreadPool& pool() { return *pool_; }
 
  private:
-  StreamClusterer(RpDbscanOptions options, size_t num_threads,
-                  IngestBuffer buffer);
+  StreamClusterer(RpDbscanOptions options, IngestBuffer buffer);
 
   RpDbscanOptions options_;
   std::unique_ptr<ThreadPool> pool_;

@@ -8,45 +8,26 @@
 namespace rpdbscan {
 namespace internal_logging {
 
-/// Severity levels for the minimal logging facility. kFatal aborts the
-/// process after emitting the message.
-enum class Severity { kInfo, kWarning, kError, kFatal };
-
-/// Collects one log line in a stream and flushes it (with file:line prefix)
-/// on destruction. Not for hot paths.
-class LogMessage {
+/// Collects one fatal message in a stream, then writes it (with a
+/// file:line prefix) and aborts the process on destruction.
+class FatalMessage {
  public:
-  LogMessage(Severity severity, const char* file, int line)
-      : severity_(severity) {
-    stream_ << "[" << Name(severity) << " " << Basename(file) << ":" << line
-            << "] ";
+  FatalMessage(const char* file, int line) {
+    stream_ << "[FATAL " << Basename(file) << ":" << line << "] ";
   }
 
-  LogMessage(const LogMessage&) = delete;
-  LogMessage& operator=(const LogMessage&) = delete;
+  FatalMessage(const FatalMessage&) = delete;
+  FatalMessage& operator=(const FatalMessage&) = delete;
 
-  ~LogMessage() {
+  ~FatalMessage() {
     stream_ << "\n";
     std::cerr << stream_.str() << std::flush;
-    if (severity_ == Severity::kFatal) std::abort();
+    std::abort();
   }
 
   std::ostream& stream() { return stream_; }
 
  private:
-  static const char* Name(Severity s) {
-    switch (s) {
-      case Severity::kInfo:
-        return "INFO";
-      case Severity::kWarning:
-        return "WARN";
-      case Severity::kError:
-        return "ERROR";
-      case Severity::kFatal:
-        return "FATAL";
-    }
-    return "?";
-  }
   static const char* Basename(const char* file) {
     const char* base = file;
     for (const char* p = file; *p != '\0'; ++p) {
@@ -55,7 +36,6 @@ class LogMessage {
     return base;
   }
 
-  Severity severity_;
   std::ostringstream stream_;
 };
 
@@ -68,28 +48,13 @@ struct Voidify {
 }  // namespace internal_logging
 }  // namespace rpdbscan
 
-#define RPDBSCAN_LOG_INFO                                                 \
-  ::rpdbscan::internal_logging::LogMessage(                               \
-      ::rpdbscan::internal_logging::Severity::kInfo, __FILE__, __LINE__)  \
-      .stream()
-#define RPDBSCAN_LOG_WARN                                                  \
-  ::rpdbscan::internal_logging::LogMessage(                                \
-      ::rpdbscan::internal_logging::Severity::kWarning, __FILE__,          \
-      __LINE__)                                                            \
-      .stream()
-#define RPDBSCAN_LOG_ERROR                                                \
-  ::rpdbscan::internal_logging::LogMessage(                               \
-      ::rpdbscan::internal_logging::Severity::kError, __FILE__, __LINE__) \
-      .stream()
-
 /// Aborts with a message when `cond` is false. Active in all build modes:
 /// these guard internal invariants whose violation would corrupt results.
 #define RPDBSCAN_CHECK(cond)                                               \
   (cond) ? (void)0                                                        \
          : ::rpdbscan::internal_logging::Voidify() &                      \
-               ::rpdbscan::internal_logging::LogMessage(                  \
-                   ::rpdbscan::internal_logging::Severity::kFatal,        \
-                   __FILE__, __LINE__)                                    \
+               ::rpdbscan::internal_logging::FatalMessage(__FILE__,       \
+                                                          __LINE__)       \
                    .stream()                                              \
                << "Check failed: " #cond " "
 

@@ -383,25 +383,28 @@ AuditReport AuditDictionary(const Dataset& data, const CellSet& cells,
 }
 
 AuditReport AuditCellGraph(const Dataset& data, const CellSet& cells,
-                           const Phase2Result& phase2, AuditLevel level) {
+                           const std::vector<CellSubgraph>& subgraphs,
+                           const std::vector<uint8_t>& point_is_core,
+                           const std::vector<uint8_t>& cell_is_core,
+                           AuditLevel level) {
   AuditReport report;
   const GridGeometry& geom = cells.geom();
   const size_t num_cells = cells.num_cells();
   const size_t k = cells.num_partitions();
-  report.Check(phase2.point_is_core.size() == data.size(), [&] {
-    return Cat("point_is_core.size() = ", phase2.point_is_core.size(),
+  report.Check(point_is_core.size() == data.size(), [&] {
+    return Cat("point_is_core.size() = ", point_is_core.size(),
                ", want ", data.size());
   });
-  report.Check(phase2.cell_is_core.size() == num_cells, [&] {
-    return Cat("cell_is_core.size() = ", phase2.cell_is_core.size(),
+  report.Check(cell_is_core.size() == num_cells, [&] {
+    return Cat("cell_is_core.size() = ", cell_is_core.size(),
                ", want ", num_cells);
   });
-  report.Check(phase2.subgraphs.size() == k, [&] {
-    return Cat("subgraphs.size() = ", phase2.subgraphs.size(), ", want ", k);
+  report.Check(subgraphs.size() == k, [&] {
+    return Cat("subgraphs.size() = ", subgraphs.size(), ", want ", k);
   });
-  if (phase2.point_is_core.size() != data.size() ||
-      phase2.cell_is_core.size() != num_cells ||
-      phase2.subgraphs.size() != k) {
+  if (point_is_core.size() != data.size() ||
+      cell_is_core.size() != num_cells ||
+      subgraphs.size() != k) {
     return report;
   }
 
@@ -409,13 +412,13 @@ AuditReport AuditCellGraph(const Dataset& data, const CellSet& cells,
   for (uint32_t c = 0; c < num_cells; ++c) {
     bool has_core = false;
     for (const uint32_t pid : cells.cell(c).point_ids) {
-      if (phase2.point_is_core[pid]) {
+      if (point_is_core[pid]) {
         has_core = true;
         break;
       }
     }
-    report.Check((phase2.cell_is_core[c] != 0) == has_core, [&] {
-      return Cat("cell ", c, " core flag ", int(phase2.cell_is_core[c]),
+    report.Check((cell_is_core[c] != 0) == has_core, [&] {
+      return Cat("cell ", c, " core flag ", int(cell_is_core[c]),
                  " disagrees with its points");
     });
   }
@@ -425,7 +428,7 @@ AuditReport AuditCellGraph(const Dataset& data, const CellSet& cells,
   const double side = geom.cell_side();
   std::unordered_set<uint64_t> edge_keys;
   for (uint32_t pid = 0; pid < k; ++pid) {
-    const CellSubgraph& sg = phase2.subgraphs[pid];
+    const CellSubgraph& sg = subgraphs[pid];
     report.Check(sg.partition_id == pid, [&] {
       return Cat("subgraph ", pid, " claims partition ", sg.partition_id);
     });
@@ -434,7 +437,7 @@ AuditReport AuditCellGraph(const Dataset& data, const CellSet& cells,
     const std::vector<uint32_t>& part = cells.partition(pid);
     bool owned_ok = sg.owned.size() == part.size();
     for (size_t i = 0; owned_ok && i < part.size(); ++i) {
-      const CellType want = phase2.cell_is_core[part[i]]
+      const CellType want = cell_is_core[part[i]]
                                 ? CellType::kCore
                                 : CellType::kNonCore;
       owned_ok = sg.owned[i].first == part[i] && sg.owned[i].second == want;
@@ -453,7 +456,7 @@ AuditReport AuditCellGraph(const Dataset& data, const CellSet& cells,
       report.Check(e.from != e.to, [&] {
         return Cat("subgraph ", pid, " self-loop at cell ", e.from);
       });
-      report.Check(phase2.cell_is_core[e.from] != 0, [&] {
+      report.Check(cell_is_core[e.from] != 0, [&] {
         return Cat("subgraph ", pid, " edge from non-core cell ", e.from);
       });
       report.Check(cells.cell(e.from).owner_partition == pid, [&] {

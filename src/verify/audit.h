@@ -124,7 +124,16 @@ AuditReport AuditDictionary(const Dataset& data, const CellSet& cells,
 /// of the two cells within eps, so the box gap bounds it). At kFull also
 /// rejects duplicate edges inside a subgraph.
 AuditReport AuditCellGraph(const Dataset& data, const CellSet& cells,
-                           const Phase2Result& phase2, AuditLevel level);
+                           const std::vector<CellSubgraph>& subgraphs,
+                           const std::vector<uint8_t>& point_is_core,
+                           const std::vector<uint8_t>& cell_is_core,
+                           AuditLevel level);
+inline AuditReport AuditCellGraph(const Dataset& data, const CellSet& cells,
+                                  const Phase2Result& phase2,
+                                  AuditLevel level) {
+  return AuditCellGraph(data, cells, phase2.subgraphs, phase2.point_is_core,
+                        phase2.cell_is_core, level);
+}
 
 /// Audits the Phase III-1 output (Alg. 4 part 1): cluster ids are dense
 /// and exactly cover the core cells, predecessor lists are core -> noncore

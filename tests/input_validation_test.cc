@@ -2,7 +2,7 @@
 // lattice cannot represent — non-finite values and values binning beyond
 // GridGeometry::kMaxCellIndex — with InvalidArgument, instead of casting
 // them to int32 (undefined) and clustering whatever cells that produced.
-// The serving batch entry points reject non-finite queries the same way.
+// The serving batch entry points reject such queries the same way.
 
 #include <gtest/gtest.h>
 
@@ -231,6 +231,29 @@ TEST(InputValidationTest, ServeBatchesRejectNonFiniteQueries) {
     EXPECT_TRUE(server.ClassifyBatch(good, pool, &out).ok());
     EXPECT_EQ(out.size(), 10u);
   }
+}
+
+// A finite query far beyond the lattice (|index| > 2^30) is rejected and
+// named, instead of overflowing the int32 home-cell binning.
+TEST(InputValidationTest, ServeBatchesRejectQueriesOffTheLattice) {
+  const auto snapshot = Frozen(2);
+  const LabelServer server(snapshot);
+  ThreadPool pool(2);
+  Dataset queries(2);
+  const float ok[2] = {50.0f, 50.0f};
+  const float far[2] = {1e30f, 3.0f};
+  queries.Append(ok);
+  queries.Append(far);
+  std::vector<ServeResult> out;
+  for (const Status& s : {server.ClassifyBatch(queries, pool, &out),
+                          server.ClassifyEach(queries, pool, &out)}) {
+    EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << s;
+    EXPECT_NE(s.message().find("query 1 dimension 0"), std::string::npos)
+        << s;
+    EXPECT_NE(s.message().find("beyond the cell lattice"), std::string::npos)
+        << s;
+  }
+  EXPECT_TRUE(out.empty());
 }
 
 }  // namespace

@@ -5,13 +5,6 @@
 namespace rpdbscan {
 namespace {
 
-TEST(LoggingTest, InfoWarningErrorDoNotAbort) {
-  RPDBSCAN_LOG_INFO << "info line " << 1;
-  RPDBSCAN_LOG_WARN << "warn line " << 2;
-  RPDBSCAN_LOG_ERROR << "error line " << 3;
-  SUCCEED();
-}
-
 TEST(LoggingTest, CheckPassesOnTrue) {
   RPDBSCAN_CHECK(1 + 1 == 2) << "never shown";
   SUCCEED();

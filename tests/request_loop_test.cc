@@ -302,9 +302,10 @@ TEST(RequestLoopTest, ServesFramedBatchesOverSocketpair) {
   EXPECT_LE(lat.p50_us, lat.p999_us);
 }
 
-TEST(RequestLoopTest, NonFiniteQueryGetsErrorFrameAndSessionContinues) {
-  const uint64_t seed = TestSeed(7600);
-  SCOPED_TRACE(SeedNote(seed));
+/// Sends a frame whose second query carries `bad` in dimension 0: the
+/// loop must answer with an error frame naming it, then serve the next
+/// batch on the same connection normally.
+void ExpectErrorFrameThenSessionContinues(float bad, uint64_t seed) {
   const Served f = Freeze(seed);
   const LabelServer server(f.snapshot);
 
@@ -321,14 +322,12 @@ TEST(RequestLoopTest, NonFiniteQueryGetsErrorFrameAndSessionContinues) {
     EXPECT_TRUE(s.ok()) << s;
   });
 
-  // A well-formed frame whose second query has a NaN coordinate: the
-  // loop answers with an error frame naming it and keeps the session.
-  Dataset bad(f.data.dim());
-  bad.Append(f.data.point(0));
+  Dataset bad_batch(f.data.dim());
+  bad_batch.Append(f.data.point(0));
   std::vector<float> row(f.data.point(1), f.data.point(1) + f.data.dim());
-  row[0] = std::numeric_limits<float>::quiet_NaN();
-  bad.Append(row.data());
-  ASSERT_TRUE(SendClassifyRequest(client_fd, bad).ok());
+  row[0] = bad;
+  bad_batch.Append(row.data());
+  ASSERT_TRUE(SendClassifyRequest(client_fd, bad_batch).ok());
   auto err = ReadClassifyResponse(client_fd);
   ASSERT_FALSE(err.ok());
   EXPECT_EQ(err.status().code(), StatusCode::kInternal) << err.status();
@@ -359,6 +358,21 @@ TEST(RequestLoopTest, NonFiniteQueryGetsErrorFrameAndSessionContinues) {
   EXPECT_EQ(stats.responses, 1u);
   EXPECT_EQ(stats.errors, 1u);
   EXPECT_EQ(stats.serve.queries, f.data.size());
+}
+
+TEST(RequestLoopTest, NonFiniteQueryGetsErrorFrameAndSessionContinues) {
+  const uint64_t seed = TestSeed(7600);
+  SCOPED_TRACE(SeedNote(seed));
+  ExpectErrorFrameThenSessionContinues(
+      std::numeric_limits<float>::quiet_NaN(), seed);
+}
+
+// A finite coordinate that bins beyond the int32 cell lattice is refused
+// the same way rather than overflowing the home-cell binning.
+TEST(RequestLoopTest, OffLatticeQueryGetsErrorFrameAndSessionContinues) {
+  const uint64_t seed = TestSeed(7650);
+  SCOPED_TRACE(SeedNote(seed));
+  ExpectErrorFrameThenSessionContinues(1e30f, seed);
 }
 
 TEST(RequestLoopTest, CleanHangupEndsTheLoop) {

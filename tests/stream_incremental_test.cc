@@ -225,5 +225,31 @@ TEST(StreamIncrementalTest, TinyAndEmptyBatches) {
   }
 }
 
+/// Options an epoch cannot reproduce are refused at Create instead of
+/// being silently dropped: a decoupled query radius and a sampled core
+/// set would each give labels that differ from RunRpDbscan with the same
+/// options. Options that only change how Phase I executes are accepted.
+TEST(StreamIncrementalTest, CreateRejectsOptionsAnEpochCannotReproduce) {
+  const Dataset seed_batch = SkewedData(200, 2, 5);
+  RpDbscanOptions decoupled = StreamOptions(2.0, 6, true, 5);
+  decoupled.query_eps = 3.0;
+  auto a = StreamClusterer::Create(seed_batch, decoupled);
+  ASSERT_FALSE(a.ok());
+  EXPECT_EQ(a.status().code(), StatusCode::kInvalidArgument) << a.status();
+  EXPECT_NE(a.status().message().find("query_eps"), std::string::npos);
+
+  RpDbscanOptions sampled = StreamOptions(2.0, 6, true, 5);
+  sampled.sampled_core_fraction = 0.5;
+  auto b = StreamClusterer::Create(seed_batch, sampled);
+  ASSERT_FALSE(b.ok());
+  EXPECT_EQ(b.status().code(), StatusCode::kInvalidArgument) << b.status();
+  EXPECT_NE(b.status().message().find("sampled_core_fraction"),
+            std::string::npos);
+
+  RpDbscanOptions sharded = StreamOptions(2.0, 6, true, 5);
+  sharded.shard_workers = 4;
+  EXPECT_TRUE(StreamClusterer::Create(seed_batch, sharded).ok());
+}
+
 }  // namespace
 }  // namespace rpdbscan

@@ -79,20 +79,6 @@ constexpr char kUsage[] = R"(usage: rpdbscan_cli [flags]
     --rho=R               approximation rate (default 0.01)
     --partitions=K        partitions / splits (default 16)
     --threads=T           worker threads (default 4)
-    --perpoint            rp only: use the reference per-point query path
-                          instead of the batched Phase II kernel
-    --tree-queries        rp only: enumerate Phase II candidates by
-                          per-sub-dictionary tree descent instead of the
-                          lattice-stencil hash probes
-    --hashmap-phase1      rp only: use the reference hash-map Phase I-1
-                          grouping instead of the sorted CSR build
-    --scalar-kernels      rp only: force the scalar reference distance
-                          kernels (no SIMD dispatch); labels identical
-    --quantized           rp only: integer fixed-point candidate
-                          pre-filter with exact fallback in the error
-                          band; labels identical, auto-off on overflow
-    --sequential-merge    rp only: tournament merge (Fig. 17 series)
-                          instead of the edge-parallel union-find
     --mmap                rp only: memory-map an .rpds --input read-only
                           and build Phase I-1 out-of-core (external sort
                           spilling under --memory-budget); labels are
@@ -106,6 +92,18 @@ constexpr char kUsage[] = R"(usage: rpdbscan_cli [flags]
     --audit[=LEVEL]       rp only: audit pipeline invariants between
                           phases; LEVEL is off|cheap|full (bare --audit
                           means full). Violations fail the run.
+  rp engine (labels identical either way; hierarchy and stream too):
+    --perpoint            the reference per-point query path instead of
+                          the batched Phase II kernel
+    --tree-queries        Phase II candidates by per-sub-dictionary tree
+                          descent instead of the lattice stencil
+    --hashmap-phase1      the hash-map Phase I-1 grouping instead of the
+                          sorted CSR build
+    --scalar-kernels      scalar distance kernels (no SIMD dispatch)
+    --quantized           integer fixed-point candidate pre-filter with
+                          exact fallback; auto-off on overflow
+    --sequential-merge    tournament merge (Fig. 17 series) instead of
+                          the edge-parallel union-find
   preprocessing:
     --normalize=MODE      minmax (onto [0,100]^d) or zscore
   diagnostics:
@@ -143,9 +141,8 @@ hierarchy (multi-eps cluster hierarchy over one shared dictionary):
                           attached as the snapshot's hierarchy section
     --output=PATH         write points + finest-level labels as CSV
     --stats-json=PATH     per-level and shared-stage statistics as JSON
-  the rp engine flags (--rho --partitions --threads --perpoint
-  --tree-queries --hashmap-phase1 --scalar-kernels --quantized
-  --sequential-merge) apply to every level.
+  --rho, --partitions, --threads and the rp engine flags apply to every
+  level.
 
 serving (classify out-of-sample points against a frozen model):
   rpdbscan_cli serve --snapshot=f.rpsnap --queries=q.csv [--threads=N]
@@ -202,10 +199,9 @@ re-clustering and hot-swapping epoch snapshots into a label server):
     --stats-json=PATH     write per-epoch stream statistics as one JSON
                           object (dirty_cells, reclustered_points,
                           epoch_publish_seconds, ...)
-  the rp clustering flags (--eps --minpts --rho --partitions --threads
-  --perpoint --tree-queries --hashmap-phase1 --scalar-kernels
-  --quantized --sequential-merge) apply unchanged; every epoch's labels
-  are bit-identical to a from-scratch run with those flags.
+  --eps, --minpts, --rho, --partitions, --threads and the rp engine
+  flags apply unchanged; every epoch's labels are bit-identical to a
+  from-scratch run with those flags.
 )";
 
 /// "262144", "256k", "64m", "1g" -> bytes ("64mb" style also accepted).
@@ -295,6 +291,17 @@ Status WriteTextFile(const std::string& path, const std::string& text) {
   return Status::OK();
 }
 
+/// Reports a file write on stderr: "wrote PATH", or "WHAT failed: ..."
+/// and exit code 1.
+int Wrote(const Status& s, const char* what, const std::string& path) {
+  if (!s.ok()) {
+    std::fprintf(stderr, "%s failed: %s\n", what, s.ToString().c_str());
+    return 1;
+  }
+  std::fprintf(stderr, "wrote %s\n", path.c_str());
+  return 0;
+}
+
 StatusOr<Dataset> LoadInput(const FlagSet& flags) {
   const std::string input = flags.GetString("input");
   const std::string generate = flags.GetString("generate");
@@ -336,31 +343,38 @@ StatusOr<AuditLevel> ParseAuditFlag(const FlagSet& flags,
   return Status::InvalidArgument("--audit must be off|cheap|full");
 }
 
+/// The rp engine flags -> EngineOptions, shared by the rp, stream and
+/// hierarchy paths so every subcommand reads them the same way.
+Status EngineOptionsFromFlags(const FlagSet& flags, EngineOptions* o) {
+  auto rho_or = flags.GetDouble("rho", 0.01);
+  auto parts_or = flags.GetInt("partitions", 16);
+  auto threads_or = flags.GetInt("threads", 4);
+  if (!rho_or.ok()) return rho_or.status();
+  if (!parts_or.ok()) return parts_or.status();
+  if (!threads_or.ok()) return threads_or.status();
+  o->rho = *rho_or;
+  o->num_partitions = static_cast<size_t>(*parts_or);
+  o->num_threads = static_cast<size_t>(*threads_or);
+  o->batched_queries = !flags.GetBool("perpoint");
+  o->stencil_queries = !flags.GetBool("tree-queries");
+  o->sorted_phase1 = !flags.GetBool("hashmap-phase1");
+  o->scalar_kernels = flags.GetBool("scalar-kernels");
+  o->quantized = flags.GetBool("quantized");
+  o->sequential_merge = flags.GetBool("sequential-merge");
+  return Status::OK();
+}
+
 /// The flag -> RpDbscanOptions mapping, shared by the cluster and stream
 /// paths so `stream` epochs are comparable to plain `--algo=rp` runs.
 StatusOr<RpDbscanOptions> RpOptionsFromFlags(const FlagSet& flags) {
   auto eps_or = flags.GetDouble("eps", 0.0);
   auto minpts_or = flags.GetInt("minpts", 20);
-  auto rho_or = flags.GetDouble("rho", 0.01);
-  auto parts_or = flags.GetInt("partitions", 16);
-  auto threads_or = flags.GetInt("threads", 4);
   if (!eps_or.ok()) return eps_or.status();
   if (!minpts_or.ok()) return minpts_or.status();
-  if (!rho_or.ok()) return rho_or.status();
-  if (!parts_or.ok()) return parts_or.status();
-  if (!threads_or.ok()) return threads_or.status();
   RpDbscanOptions o;
   o.eps = *eps_or;
   o.min_pts = static_cast<size_t>(*minpts_or);
-  o.rho = *rho_or;
-  o.num_partitions = static_cast<size_t>(*parts_or);
-  o.num_threads = static_cast<size_t>(*threads_or);
-  o.batched_queries = !flags.GetBool("perpoint");
-  o.stencil_queries = !flags.GetBool("tree-queries");
-  o.sorted_phase1 = !flags.GetBool("hashmap-phase1");
-  o.scalar_kernels = flags.GetBool("scalar-kernels");
-  o.quantized = flags.GetBool("quantized");
-  o.sequential_merge = flags.GetBool("sequential-merge");
+  RPDBSCAN_RETURN_IF_ERROR(EngineOptionsFromFlags(flags, &o));
   auto shard_or = flags.GetInt("shard-workers", 0);
   if (!shard_or.ok()) return shard_or.status();
   if (*shard_or < 0) {
@@ -388,26 +402,17 @@ StatusOr<RpDbscanOptions> RpOptionsFromFlags(const FlagSet& flags) {
 StatusOr<Labels> Cluster(const FlagSet& flags, const Dataset& data,
                          bool print_stats,
                          const PointSource* source = nullptr) {
-  auto eps_or = flags.GetDouble("eps", 0.0);
-  auto minpts_or = flags.GetInt("minpts", 20);
-  auto rho_or = flags.GetDouble("rho", 0.01);
-  auto parts_or = flags.GetInt("partitions", 16);
-  auto threads_or = flags.GetInt("threads", 4);
-  if (!eps_or.ok()) return eps_or.status();
-  if (!minpts_or.ok()) return minpts_or.status();
-  if (!rho_or.ok()) return rho_or.status();
-  if (!parts_or.ok()) return parts_or.status();
-  if (!threads_or.ok()) return threads_or.status();
-  const DbscanParams params{*eps_or, static_cast<size_t>(*minpts_or)};
+  auto rp_or = RpOptionsFromFlags(flags);
+  if (!rp_or.ok()) return rp_or.status();
+  const RpDbscanOptions& rp = *rp_or;
+  const DbscanParams params{rp.eps, rp.min_pts};
   const std::string algo = flags.GetString("algo", "rp");
 
   if (source != nullptr && algo != "rp") {
     return Status::InvalidArgument("--mmap requires --algo=rp");
   }
   if (algo == "rp") {
-    auto o_or = RpOptionsFromFlags(flags);
-    if (!o_or.ok()) return o_or.status();
-    RpDbscanOptions o = *o_or;
+    RpDbscanOptions o = rp;
     o.point_source = source;
     const std::string save_snapshot = flags.GetString("save-snapshot");
     o.capture_model = !save_snapshot.empty();
@@ -441,9 +446,9 @@ StatusOr<Labels> Cluster(const FlagSet& flags, const Dataset& data,
   if (algo == "esp" || algo == "rbp" || algo == "cbp" || algo == "spark") {
     RegionSplitOptions o;
     o.params = params;
-    o.num_splits = static_cast<size_t>(*parts_or);
-    o.num_threads = static_cast<size_t>(*threads_or);
-    o.rho = *rho_or;
+    o.num_splits = rp.num_partitions;
+    o.num_threads = rp.num_threads;
+    o.rho = rp.rho;
     o.rho_approximate = algo != "spark";
     o.strategy = algo == "esp"
                      ? RegionPartitionStrategy::kEvenSplit
@@ -473,8 +478,8 @@ StatusOr<Labels> Cluster(const FlagSet& flags, const Dataset& data,
   if (algo == "naive") {
     NaiveRandomSplitOptions o;
     o.params = params;
-    o.num_splits = static_cast<size_t>(*parts_or);
-    o.num_threads = static_cast<size_t>(*threads_or);
+    o.num_splits = rp.num_partitions;
+    o.num_threads = rp.num_threads;
     auto r = RunNaiveRandomSplitDbscan(data, o);
     if (!r.ok()) return r.status();
     return std::move(r->labels);
@@ -489,9 +494,9 @@ StatusOr<Dataset> LoadQueries(const std::string& path) {
   return ReadCsv(path);
 }
 
-/// Binds a unix stream socket at `path` (replacing any stale socket file)
-/// and returns the listening fd, or -1 with a message on stderr.
-int ListenUnix(const std::string& path) {
+/// A unix stream socket at `path`, either bound and listening (replacing
+/// any stale socket file) or connected; -1 with a message on stderr.
+int OpenUnix(const std::string& path, bool server) {
   sockaddr_un addr{};
   addr.sun_family = AF_UNIX;
   if (path.size() >= sizeof(addr.sun_path)) {
@@ -504,39 +509,41 @@ int ListenUnix(const std::string& path) {
     std::fprintf(stderr, "socket: %s\n", std::strerror(errno));
     return -1;
   }
-  ::unlink(path.c_str());
-  if (::bind(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) <
-          0 ||
-      ::listen(fd, 1) < 0) {
-    std::fprintf(stderr, "bind/listen %s: %s\n", path.c_str(),
-                 std::strerror(errno));
+  const auto* sa = reinterpret_cast<const sockaddr*>(&addr);
+  if (server) ::unlink(path.c_str());
+  const bool ok = server ? ::bind(fd, sa, sizeof(addr)) == 0 &&
+                               ::listen(fd, 1) == 0
+                         : ::connect(fd, sa, sizeof(addr)) == 0;
+  if (!ok) {
+    std::fprintf(stderr, "%s %s: %s\n", server ? "bind/listen" : "connect",
+                 path.c_str(), std::strerror(errno));
     ::close(fd);
     return -1;
   }
   return fd;
 }
 
-int ConnectUnix(const std::string& path) {
-  sockaddr_un addr{};
-  addr.sun_family = AF_UNIX;
-  if (path.size() >= sizeof(addr.sun_path)) {
-    std::fprintf(stderr, "socket path too long: %s\n", path.c_str());
-    return -1;
+/// Runs `loop(in_fd, out_fd)`, one framed request loop, on stdio when
+/// `listen` is "stdio", else on one accepted connection of the unix
+/// socket at path `listen` (removed afterwards).
+template <typename LoopFn>
+Status ServeListener(const std::string& listen, const char* kind,
+                     LoopFn&& loop) {
+  if (listen == "stdio") {
+    std::fprintf(stderr, "serving %s classify requests on stdio\n", kind);
+    return loop(/*in_fd=*/0, /*out_fd=*/1);
   }
-  std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
-  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  if (fd < 0) {
-    std::fprintf(stderr, "socket: %s\n", std::strerror(errno));
-    return -1;
-  }
-  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) <
-      0) {
-    std::fprintf(stderr, "connect %s: %s\n", path.c_str(),
-                 std::strerror(errno));
-    ::close(fd);
-    return -1;
-  }
-  return fd;
+  const int lfd = OpenUnix(listen, /*server=*/true);
+  if (lfd < 0) return Status::IOError("cannot listen on " + listen);
+  std::fprintf(stderr, "listening on %s\n", listen.c_str());
+  const int cfd = ::accept(lfd, nullptr, nullptr);
+  ::close(lfd);
+  Status s = cfd < 0 ? Status::IOError(std::string("accept: ") +
+                                       std::strerror(errno))
+                     : loop(cfd, cfd);
+  if (cfd >= 0) ::close(cfd);
+  ::unlink(listen.c_str());
+  return s;
 }
 
 int WriteServeOutput(const FlagSet& flags, const Dataset& queries,
@@ -547,13 +554,7 @@ int WriteServeOutput(const FlagSet& flags, const Dataset& queries,
   for (size_t i = 0; i < results.size(); ++i) {
     labels[i] = results[i].cluster;
   }
-  const Status w = WriteCsv(output, queries, &labels);
-  if (!w.ok()) {
-    std::fprintf(stderr, "output failed: %s\n", w.ToString().c_str());
-    return 1;
-  }
-  std::fprintf(stderr, "wrote %s\n", output.c_str());
-  return 0;
+  return Wrote(WriteCsv(output, queries, &labels), "output", output);
 }
 
 /// `serve --connect`: ship the query set to a --listen server over its
@@ -579,7 +580,7 @@ int ServeClientMain(const FlagSet& flags, const std::string& socket_path) {
     return 1;
   }
 
-  const int fd = ConnectUnix(socket_path);
+  const int fd = OpenUnix(socket_path, /*server=*/false);
   if (fd < 0) return 1;
   const Stopwatch watch;
   // A --model-id tags the request with a routed (v2) frame so a --models
@@ -687,28 +688,11 @@ int ServeRegistryMain(const FlagSet& flags, const std::string& models_flag) {
                registry.size(), registry.default_id());
 
   RequestLoopStats rstats;
-  Status s;
   const Stopwatch watch;
-  if (listen == "stdio") {
-    std::fprintf(stderr, "serving routed classify requests on stdio\n");
-    s = ServeRequestLoop(/*in_fd=*/0, /*out_fd=*/1, registry, pool,
-                         RequestLoopOptions(), &rstats);
-  } else {
-    const int lfd = ListenUnix(listen);
-    if (lfd < 0) return 1;
-    std::fprintf(stderr, "listening on %s\n", listen.c_str());
-    const int cfd = ::accept(lfd, nullptr, nullptr);
-    ::close(lfd);
-    if (cfd < 0) {
-      std::fprintf(stderr, "accept: %s\n", std::strerror(errno));
-      ::unlink(listen.c_str());
-      return 1;
-    }
-    s = ServeRequestLoop(cfd, cfd, registry, pool, RequestLoopOptions(),
-                         &rstats);
-    ::close(cfd);
-    ::unlink(listen.c_str());
-  }
+  const Status s = ServeListener(listen, "routed", [&](int in, int out) {
+    return ServeRequestLoop(in, out, registry, pool, RequestLoopOptions(),
+                            &rstats);
+  });
   const double seconds = watch.ElapsedSeconds();
   if (!s.ok()) {
     std::fprintf(stderr, "request loop failed: %s\n", s.ToString().c_str());
@@ -762,12 +746,9 @@ int ServeRegistryMain(const FlagSet& flags, const std::string& models_flag) {
       json += ++emitted < rstats.per_model.size() ? ",\n" : "\n";
     }
     json += "  }\n}";
-    const Status w = WriteTextFile(stats_json, json);
-    if (!w.ok()) {
-      std::fprintf(stderr, "stats-json failed: %s\n", w.ToString().c_str());
+    if (Wrote(WriteTextFile(stats_json, json), "stats-json", stats_json)) {
       return 1;
     }
-    std::fprintf(stderr, "wrote %s\n", stats_json.c_str());
   }
   return 0;
 }
@@ -835,28 +816,11 @@ int ServeMain(const FlagSet& flags) {
 
   if (!listen.empty()) {
     RequestLoopStats rstats;
-    Status s;
     const Stopwatch watch;
-    if (listen == "stdio") {
-      std::fprintf(stderr, "serving framed classify requests on stdio\n");
-      s = ServeRequestLoop(/*in_fd=*/0, /*out_fd=*/1, server, pool,
-                           RequestLoopOptions(), &rstats);
-    } else {
-      const int lfd = ListenUnix(listen);
-      if (lfd < 0) return 1;
-      std::fprintf(stderr, "listening on %s\n", listen.c_str());
-      const int cfd = ::accept(lfd, nullptr, nullptr);
-      ::close(lfd);
-      if (cfd < 0) {
-        std::fprintf(stderr, "accept: %s\n", std::strerror(errno));
-        ::unlink(listen.c_str());
-        return 1;
-      }
-      s = ServeRequestLoop(cfd, cfd, server, pool, RequestLoopOptions(),
-                           &rstats);
-      ::close(cfd);
-      ::unlink(listen.c_str());
-    }
+    const Status s = ServeListener(listen, "framed", [&](int in, int out) {
+      return ServeRequestLoop(in, out, server, pool, RequestLoopOptions(),
+                              &rstats);
+    });
     // Wall time spans the whole loop, idle waits included — the sojourn
     // percentiles below are the per-request latency story.
     const double seconds = watch.ElapsedSeconds();
@@ -873,14 +837,12 @@ int ServeMain(const FlagSet& flags) {
         static_cast<unsigned long long>(rstats.errors),
         static_cast<unsigned long long>(rstats.serve.queries), seconds,
         threads, lat.p50_us, lat.p99_us, lat.p999_us);
-    if (!stats_json.empty()) {
-      const Status w = WriteTextFile(
-          stats_json, ServeStatsToJson(rstats.serve, seconds, threads, &lat));
-      if (!w.ok()) {
-        std::fprintf(stderr, "stats-json failed: %s\n", w.ToString().c_str());
-        return 1;
-      }
-      std::fprintf(stderr, "wrote %s\n", stats_json.c_str());
+    if (!stats_json.empty() &&
+        Wrote(WriteTextFile(stats_json,
+                            ServeStatsToJson(rstats.serve, seconds,
+                                             threads, &lat)),
+              "stats-json", stats_json)) {
+      return 1;
     }
     return 0;
   }
@@ -918,14 +880,11 @@ int ServeMain(const FlagSet& flags) {
       static_cast<unsigned long long>(stats.cell_hits), lat.p50_us,
       lat.p99_us, lat.p999_us);
 
-  if (!stats_json.empty()) {
-    const Status w = WriteTextFile(
-        stats_json, ServeStatsToJson(stats, seconds, threads, &lat));
-    if (!w.ok()) {
-      std::fprintf(stderr, "stats-json failed: %s\n", w.ToString().c_str());
-      return 1;
-    }
-    std::fprintf(stderr, "wrote %s\n", stats_json.c_str());
+  if (!stats_json.empty() &&
+      Wrote(WriteTextFile(stats_json,
+                          ServeStatsToJson(stats, seconds, threads, &lat)),
+            "stats-json", stats_json)) {
+    return 1;
   }
   return WriteServeOutput(flags, queries, results);
 }
@@ -963,22 +922,18 @@ int HierarchyMain(const FlagSet& flags) {
   }
   auto eps_or = ParseDoubleCsv(levels_flag, "--eps-levels");
   auto minpts_or = flags.GetInt("minpts", 20);
-  auto rho_or = flags.GetDouble("rho", 0.01);
-  auto parts_or = flags.GetInt("partitions", 16);
-  auto threads_or = flags.GetInt("threads", 4);
   auto frac_or = flags.GetDouble("sampled-cores", 1.0);
   auto sample_seed_or = flags.GetInt("sample-seed", 0);
+  HierarchyOptions ho;
   for (const Status& s :
-       {eps_or.status(), minpts_or.status(), rho_or.status(),
-        parts_or.status(), threads_or.status(), frac_or.status(),
+       {eps_or.status(), minpts_or.status(),
+        EngineOptionsFromFlags(flags, &ho), frac_or.status(),
         sample_seed_or.status()}) {
     if (!s.ok()) {
       std::fprintf(stderr, "%s\n%s", s.ToString().c_str(), kUsage);
       return 1;
     }
   }
-
-  HierarchyOptions ho;
   ho.eps_levels = *eps_or;
   if (flags.Has("min-pts")) {
     auto mp_or = ParseSizeCsv(flags.GetString("min-pts"), "--min-pts");
@@ -991,15 +946,6 @@ int HierarchyMain(const FlagSet& flags) {
   } else {
     ho.min_pts_levels = {static_cast<size_t>(*minpts_or)};
   }
-  ho.rho = *rho_or;
-  ho.num_partitions = static_cast<size_t>(*parts_or);
-  ho.num_threads = static_cast<size_t>(*threads_or);
-  ho.batched_queries = !flags.GetBool("perpoint");
-  ho.stencil_queries = !flags.GetBool("tree-queries");
-  ho.sorted_phase1 = !flags.GetBool("hashmap-phase1");
-  ho.scalar_kernels = flags.GetBool("scalar-kernels");
-  ho.quantized = flags.GetBool("quantized");
-  ho.sequential_merge = flags.GetBool("sequential-merge");
   ho.force_probe = flags.GetBool("force-probe");
   ho.seed_from_previous = !flags.GetBool("no-seeding");
   ho.sampled_core_fraction = *frac_or;
@@ -1172,12 +1118,9 @@ int HierarchyMain(const FlagSet& flags) {
       json += i + 1 < h.levels.size() ? ",\n" : "\n";
     }
     json += "  ]\n}";
-    const Status w = WriteTextFile(stats_json, json);
-    if (!w.ok()) {
-      std::fprintf(stderr, "stats-json failed: %s\n", w.ToString().c_str());
+    if (Wrote(WriteTextFile(stats_json, json), "stats-json", stats_json)) {
       return 1;
     }
-    std::fprintf(stderr, "wrote %s\n", stats_json.c_str());
   }
 
   const std::string output = flags.GetString("output");
@@ -1213,16 +1156,12 @@ int StreamMain(const FlagSet& flags) {
   auto seedpts_or = flags.GetInt("seed-points", 0);
   auto batch_or = flags.GetInt("batch-size", 0);
   auto every_or = flags.GetInt("epoch-every", 1);
-  if (!opts_or.ok() || !seedpts_or.ok() || !batch_or.ok() ||
-      !every_or.ok()) {
-    const Status& s = !opts_or.ok()
-                          ? opts_or.status()
-                          : (!seedpts_or.ok()
-                                 ? seedpts_or.status()
-                                 : (!batch_or.ok() ? batch_or.status()
-                                                   : every_or.status()));
-    std::fprintf(stderr, "%s\n%s", s.ToString().c_str(), kUsage);
-    return 1;
+  for (const Status& s : {opts_or.status(), seedpts_or.status(),
+                          batch_or.status(), every_or.status()}) {
+    if (!s.ok()) {
+      std::fprintf(stderr, "%s\n%s", s.ToString().c_str(), kUsage);
+      return 1;
+    }
   }
   size_t seed_points = *seedpts_or > 0
                            ? std::min(static_cast<size_t>(*seedpts_or),
@@ -1352,22 +1291,16 @@ int StreamMain(const FlagSet& flags) {
     json += "  \"epochs_published\": " +
             std::to_string(clusterer.next_sequence()) + ",\n";
     json += "  \"epochs\": [\n" + epochs_json + "\n  ]\n}";
-    const Status w = WriteTextFile(stats_json, json);
-    if (!w.ok()) {
-      std::fprintf(stderr, "stats-json failed: %s\n", w.ToString().c_str());
+    if (Wrote(WriteTextFile(stats_json, json), "stats-json", stats_json)) {
       return 1;
     }
-    std::fprintf(stderr, "wrote %s\n", stats_json.c_str());
   }
 
   const std::string output = flags.GetString("output");
-  if (!output.empty()) {
-    const Status s = WriteCsv(output, clusterer.data(), &last_labels);
-    if (!s.ok()) {
-      std::fprintf(stderr, "output failed: %s\n", s.ToString().c_str());
-      return 1;
-    }
-    std::fprintf(stderr, "wrote %s\n", output.c_str());
+  if (!output.empty() &&
+      Wrote(WriteCsv(output, clusterer.data(), &last_labels), "output",
+            output)) {
+    return 1;
   }
   return 0;
 }
@@ -1483,13 +1416,7 @@ int Main(int argc, char** argv) {
 
   const std::string convert = flags.GetString("convert");
   if (!convert.empty()) {
-    const Status s = WriteBinary(convert, data);
-    if (!s.ok()) {
-      std::fprintf(stderr, "convert failed: %s\n", s.ToString().c_str());
-      return 1;
-    }
-    std::fprintf(stderr, "wrote %s\n", convert.c_str());
-    return 0;
+    return Wrote(WriteBinary(convert, data), "convert", convert);
   }
 
   auto labels_or =
@@ -1504,13 +1431,9 @@ int Main(int argc, char** argv) {
   std::printf("%s\n", Summarize(labels).ToString().c_str());
 
   const std::string output = flags.GetString("output");
-  if (!output.empty()) {
-    const Status s = WriteCsv(output, data, &labels);
-    if (!s.ok()) {
-      std::fprintf(stderr, "output failed: %s\n", s.ToString().c_str());
-      return 1;
-    }
-    std::fprintf(stderr, "wrote %s\n", output.c_str());
+  if (!output.empty() &&
+      Wrote(WriteCsv(output, data, &labels), "output", output)) {
+    return 1;
   }
   return 0;
 }

@@ -24,7 +24,9 @@
 #      request loop's reader thread + admission queue + classification
 #      pool) suites that exercise every concurrent path, and the
 #      streaming layer (ingest_buffer_test: parallel batch re-grouping
-#      into the shared CSR; epoch_swap_test: reader threads hammering
+#      into the shared CSR; stream_incremental_test: epochs through the
+#      shared Phase II counter reduction and Phase III tail, against
+#      from-scratch runs; epoch_swap_test: reader threads hammering
 #      LabelServer queries while the EpochRegistry's shared_ptr slot
 #      hot-swaps epochs under them), the external Phase I-1 build
 #      (external_phase1_test: chunked sort + spill + k-way merge driven
@@ -32,7 +34,9 @@
 #      multi-model serving layer (hierarchy_test /
 #      hierarchy_differential_test: thread-pooled ladder sweeps vs
 #      independent runs; model_registry_test: routed frames against N
-#      resident snapshots through the concurrent request loop).
+#      resident snapshots through the concurrent request loop), and the
+#      shared pipeline stages (pipeline_test: RunRpDbscan, a one-rung
+#      ladder and a stream epoch agree under every engine toggle).
 #   3. Plain Release over everything, including the slow tests.
 #
 # Usage: tools/run_checks.sh [build-root]
